@@ -23,9 +23,7 @@
 use sdea_bench::runner::{bench_sdea_config, bench_seed, load_dataset, report_dir};
 use sdea_core::attr_module::AttrModule;
 use sdea_core::{AttrSequencer, CrossEncoder};
-use sdea_eval::{
-    evaluate_retrieved_blocked, evaluate_retrieved_reranked_blocked, AlignmentMetrics,
-};
+use sdea_eval::{evaluate, AlignmentMetrics, RescoreFn, Shortlist};
 use sdea_index::{ExactRetriever, Hit, Retriever};
 use sdea_kg::EntityId;
 use sdea_obs::json::Json;
@@ -68,7 +66,11 @@ fn sweep_k(
 ) -> Vec<KPoint> {
     let mut points = Vec::new();
     for &k in ks {
-        let base = evaluate_retrieved_blocked(retr, test_q, gold, k, EVAL_BLOCK);
+        let eval = |rescore: Option<&mut RescoreFn>| {
+            let Ok(m) = evaluate(test_q, Shortlist { retr, k, rescore }, gold, EVAL_BLOCK);
+            m
+        };
+        let base = eval(None);
         let mut rescore = |start: usize, hits: Vec<Vec<Hit>>| {
             let qtok: Vec<Vec<u32>> = test_pairs[start..start + hits.len()]
                 .iter()
@@ -76,30 +78,15 @@ fn sweep_k(
                 .collect();
             ce.rerank_hits(&qtok, cache2, &hits, alpha)
         };
-        let reranked =
-            evaluate_retrieved_reranked_blocked(retr, test_q, gold, k, EVAL_BLOCK, &mut rescore);
+        let reranked = eval(Some(&mut rescore));
         if smoke {
             // Rerank-off is the plain blocked path, bitwise.
-            let off = evaluate_retrieved_reranked_blocked(
-                retr,
-                test_q,
-                gold,
-                k,
-                EVAL_BLOCK,
-                &mut |_, hits| hits,
-            );
+            let off = eval(Some(&mut |_, hits| hits));
             assert_eq!(off.hits1.to_bits(), base.hits1.to_bits(), "k={k} rerank-off hits1");
             assert_eq!(off.mrr.to_bits(), base.mrr.to_bits(), "k={k} rerank-off mrr");
             // The rerank pass is deterministic: a second evaluation is
             // bitwise identical.
-            let again = evaluate_retrieved_reranked_blocked(
-                retr,
-                test_q,
-                gold,
-                k,
-                EVAL_BLOCK,
-                &mut rescore,
-            );
+            let again = eval(Some(&mut rescore));
             assert_eq!(again.hits1.to_bits(), reranked.hits1.to_bits(), "k={k} rerank repeat");
             assert_eq!(again.mrr.to_bits(), reranked.mrr.to_bits(), "k={k} rerank repeat mrr");
         }
@@ -193,7 +180,8 @@ fn run(links: usize, smoke: bool) -> (Json, bool) {
     let test_rows: Vec<usize> = bundle.split.test.iter().map(|&(e, _)| e.0 as usize).collect();
     let gold: Vec<usize> = bundle.split.test.iter().map(|&(_, t)| t.0 as usize).collect();
     let test_q = h_a1.gather_rows(&test_rows);
-    let ks: &[usize] = if smoke { &[5, 10] } else { &[5, 10, 20] };
+    // Shortlists start at 10: below that Hits@10 is undefined.
+    let ks: &[usize] = if smoke { &[10] } else { &[10, 20] };
     let points = sweep_k(
         &ce,
         &retr,

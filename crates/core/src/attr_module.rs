@@ -11,7 +11,7 @@ use crate::candidates::CandidateSet;
 use crate::checkpoint::{self, Checkpointer};
 use crate::config::{Pooling, SdeaConfig};
 use crate::loss::margin_ranking_loss;
-use sdea_eval::evaluate_ranking_blocked;
+use sdea_eval::{evaluate, Table};
 use sdea_kg::EntityId;
 use sdea_lm::{MlmPretrainer, TokenBatch, TransformerLm};
 use sdea_tensor::{
@@ -538,7 +538,8 @@ impl AttrModule {
         let gold: Vec<usize> = valid.iter().map(|&(_, e)| e.0 as usize).collect();
         // Blocked: only an `eval_block_rows × n2` similarity slab is ever
         // resident, bit-identical to the materialized matrix path.
-        evaluate_ranking_blocked(&src_emb, &emb2_all, &gold, self.cfg.eval_block_rows).hits1
+        let Ok(metrics) = evaluate(&src_emb, Table(&emb2_all), &gold, self.cfg.eval_block_rows);
+        metrics.hits1
     }
 }
 

@@ -94,11 +94,10 @@ pub struct SdeaConfig {
     /// suites) and this never enters the config fingerprint.
     // fingerprint: excluded(spill granularity; shard composition never changes tables)
     pub embed_shard_rows: usize,
-    /// Query rows per block in blocked evaluation (`sdea_eval`'s
-    /// `evaluate_ranking_blocked` family); 0 evaluates all queries in one
-    /// block. Execution knob: blocked evaluation is bit-identical to the
-    /// materialized-matrix path at any value, only the peak memory of the
-    /// similarity block changes.
+    /// Query rows per block in blocked evaluation (`sdea_eval::evaluate`);
+    /// 0 evaluates all queries in one block. Execution knob: blocked
+    /// evaluation is bit-identical to the materialized-matrix path at any
+    /// value, only the peak memory of the similarity block changes.
     // fingerprint: excluded(blocking factor; bit-identical to the materialized path)
     pub eval_block_rows: usize,
     /// Retrieval backend for every ranking path (candidate generation,

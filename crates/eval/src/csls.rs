@@ -6,13 +6,11 @@
 //! similarity to the k nearest neighbours in the *other* domain.
 
 use crate::similarity::SimilarityMatrix;
-use sdea_index::Retriever;
-use sdea_tensor::Tensor;
 use sdea_tensor::{par_map_collect, par_row_chunks};
 
-/// Re-scales a cosine similarity matrix with CSLS (k nearest neighbours).
-/// Row means, column means and the rescale itself all fan out across the
-/// thread budget.
+/// Re-scales a cosine similarity matrix with CSLS (k nearest neighbours):
+/// `out[i][j] = 2·sim[i][j] − r_src[i] − r_tgt[j]`. Row means, column
+/// means and the rescale itself all fan out across the thread budget.
 ///
 /// `k` is clamped per direction to the number of available neighbours
 /// (`k > m` row-wise / `k > n` column-wise just averages over everything),
@@ -31,21 +29,6 @@ pub fn csls_rescale(sim: &SimilarityMatrix, k: usize) -> SimilarityMatrix {
     let sim_t = sim.transpose2();
     let r_tgt =
         par_map_collect(m, n.max(1), |j| mean_top_k(&sim_t.data()[j * n..(j + 1) * n], k_col));
-    csls_rescale_with_means(sim, &r_src, &r_tgt)
-}
-
-/// The CSLS combination step alone: `out[i][j] = 2·sim[i][j] − r_src[i] −
-/// r_tgt[j]`, fanned out across the thread budget. Callers that already
-/// hold neighbourhood means — e.g. from [`neighborhood_means`] over a
-/// retriever shortlist — skip the full-matrix mean scans.
-pub fn csls_rescale_with_means(
-    sim: &SimilarityMatrix,
-    r_src: &[f32],
-    r_tgt: &[f32],
-) -> SimilarityMatrix {
-    let (n, m) = (sim.shape()[0], sim.shape()[1]);
-    assert_eq!(r_src.len(), n, "one source mean per row");
-    assert_eq!(r_tgt.len(), m, "one target mean per column");
     let mut out = sim.clone();
     if m > 0 {
         let src = sim.data();
@@ -62,112 +45,6 @@ pub fn csls_rescale_with_means(
     out
 }
 
-/// CSLS neighbourhood term `r(·)` through a [`Retriever`]: for every query
-/// row, the mean cosine to its `k` nearest indexed neighbours, summed in
-/// rank order. With an exact backend this is bit-identical to the top-k
-/// row means [`csls_rescale`] computes from the full similarity matrix
-/// (same scores, same summation order); an IVF backend approximates the
-/// same term from its shortlist without materializing `n × m` cells.
-///
-/// `k` is clamped to the index size; an empty index yields all-zero means
-/// (nothing to average — matches `mean_top_k` of an empty row).
-pub fn neighborhood_means(retr: &dyn Retriever, queries: &Tensor, k: usize) -> Vec<f32> {
-    assert!(k >= 1, "CSLS needs k >= 1");
-    let _span = sdea_obs::span("eval.csls_means");
-    let hits = retr.search(queries, k);
-    hits.iter()
-        .map(|row| {
-            let sum: f32 = row.iter().map(|&(_, s)| s).sum();
-            sum / row.len().max(1) as f32
-        })
-        .collect()
-}
-
-/// CSLS-corrected alignment metrics computed **blocked**: takes the raw
-/// embeddings, streams the similarity in `block_rows`-high query blocks (0
-/// means one block) and never materializes the full `n × m` matrix — not
-/// for the row means, not for the column means, not for the rescale.
-///
-/// Bit-identical to
-/// `evaluate_ranking(&csls_rescale(&cosine_matrix(src, tgt), k), gold)` at
-/// any block size and thread budget:
-///
-/// * row means — each block row equals the full-matrix row bitwise
-///   (per-row normalization, per-element `matmul_t`), so `mean_top_k`
-///   sees identical data;
-/// * column means — the matrix path scans `simᵀ` rows; here each target
-///   block is scored against *all* sources, giving the same cells because
-///   IEEE multiplication commutes and both matmul orientations accumulate
-///   ascending over the embedding dimension (the same argument pinned
-///   bitwise by `retriever_means_match_matrix_means_bitwise` below);
-/// * rescale + ranking — [`csls_rescale_with_means`] is per-cell
-///   arithmetic and the rank accumulation replays the serial f64 additions
-///   in global row order ([`crate::metrics::RankAccum`]).
-pub fn csls_metrics_blocked(
-    src: &Tensor,
-    tgt: &Tensor,
-    gold: &[usize],
-    k: usize,
-    block_rows: usize,
-) -> crate::metrics::AlignmentMetrics {
-    assert!(k >= 1, "CSLS needs k >= 1");
-    assert_eq!(src.rank(), 2, "csls_metrics_blocked expects rank-2 src");
-    assert_eq!(tgt.rank(), 2, "csls_metrics_blocked expects rank-2 tgt");
-    assert_eq!(src.shape()[1], tgt.shape()[1], "embedding width mismatch");
-    assert_eq!(src.shape()[0], gold.len(), "one gold target per source row");
-    let (n, m) = (src.shape()[0], tgt.shape()[0]);
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.csls_blocked");
-    let block = if block_rows == 0 { n.max(m).max(1) } else { block_rows };
-    let (k_row, k_col) = (k.min(m), k.min(n));
-    // The normalized embedding tables are O((n + m)·d) — embedding-scale,
-    // not matrix-scale — and shared by all three passes.
-    let src_n = src.normalized_view();
-    let tgt_n = tgt.normalized_view();
-    // Pass 1 — r_src[i]: mean of the top-k entries of similarity row i,
-    // one query block at a time.
-    let mut r_src = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let sim_b = crate::metrics::row_block(&src_n, start, end).matmul_t(&tgt_n);
-        r_src.extend(par_map_collect(end - start, m.max(1), |r| {
-            mean_top_k(&sim_b.data()[r * m..(r + 1) * m], k_row)
-        }));
-        start = end;
-    }
-    // Pass 2 — r_tgt[j]: mean of the top-k entries of similarity column j,
-    // one *target* block at a time scored against all sources.
-    let mut r_tgt = Vec::with_capacity(m);
-    let mut tstart = 0usize;
-    while tstart < m {
-        let tend = (tstart + block).min(m);
-        let cols = crate::metrics::row_block(&tgt_n, tstart, tend).matmul_t(&src_n);
-        r_tgt.extend(par_map_collect(tend - tstart, n.max(1), |r| {
-            mean_top_k(&cols.data()[r * n..(r + 1) * n], k_col)
-        }));
-        tstart = tend;
-    }
-    // Pass 3 — rescale each query block with the global means and rank it.
-    let mut acc = crate::metrics::RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let sim_b = crate::metrics::row_block(&src_n, start, end).matmul_t(&tgt_n);
-        let rescaled = csls_rescale_with_means(&sim_b, &r_src[start..end], &r_tgt);
-        let ranks = par_map_collect(end - start, m.max(1), |r| {
-            crate::metrics::rank_of(&rescaled.data()[r * m..(r + 1) * m], gold[start + r])
-        });
-        for rank in ranks {
-            acc.push(rank);
-        }
-        start = end;
-    }
-    acc.finish()
-}
-
 fn mean_top_k(scores: &[f32], k: usize) -> f32 {
     let idx = crate::similarity::top_k_indices(scores, k);
     let sum: f32 = idx.iter().map(|&i| scores[i]).sum();
@@ -178,6 +55,7 @@ fn mean_top_k(scores: &[f32], k: usize) -> f32 {
 mod tests {
     use super::*;
     use crate::metrics::evaluate_ranking;
+    use sdea_tensor::Tensor;
 
     #[test]
     fn csls_penalizes_hubs() {
@@ -226,56 +104,6 @@ mod tests {
         assert_eq!(clamped, full);
         assert_eq!(clamped.shape(), &[2, 3]);
         assert!(clamped.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn retriever_means_match_matrix_means_bitwise() {
-        use crate::similarity::cosine_matrix;
-        use sdea_index::ExactRetriever;
-        use sdea_tensor::Rng;
-        let mut rng = Rng::seed_from_u64(17);
-        let a = Tensor::rand_normal(&[25, 8], 1.0, &mut rng);
-        let b = Tensor::rand_normal(&[30, 8], 1.0, &mut rng);
-        let sim = cosine_matrix(&a, &b);
-        let k = 10;
-        // Row means from the b-index, column means from the a-index: the
-        // transposed-role scores are bitwise equal (IEEE multiplication
-        // commutes, both matmul orientations accumulate ascending k).
-        let r_src = neighborhood_means(&ExactRetriever::new(&b), &a, k);
-        let r_tgt = neighborhood_means(&ExactRetriever::new(&a), &b, k);
-        for (i, &r) in r_src.iter().enumerate() {
-            let expect = mean_top_k(&sim.data()[i * 30..(i + 1) * 30], k);
-            assert_eq!(r.to_bits(), expect.to_bits(), "row mean {i}");
-        }
-        let via_means = csls_rescale_with_means(&sim, &r_src, &r_tgt);
-        let direct = csls_rescale(&sim, k);
-        assert_eq!(via_means.shape(), direct.shape());
-        for (x, y) in via_means.data().iter().zip(direct.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn blocked_csls_metrics_match_matrix_path_bitwise() {
-        use crate::similarity::cosine_matrix;
-        use sdea_tensor::{with_thread_budget, Rng};
-        let mut rng = Rng::seed_from_u64(23);
-        let src = Tensor::rand_normal(&[30, 8], 1.0, &mut rng);
-        let tgt = Tensor::rand_normal(&[40, 8], 1.0, &mut rng);
-        let gold: Vec<usize> = (0..30).map(|i| (i * 11) % 40).collect();
-        let k = 10;
-        let via_matrix = evaluate_ranking(&csls_rescale(&cosine_matrix(&src, &tgt), k), &gold);
-        for threads in [1usize, 8] {
-            with_thread_budget(threads, || {
-                for block in [0usize, 1, 7, 30, 1000] {
-                    let b = csls_metrics_blocked(&src, &tgt, &gold, k, block);
-                    let ctx = format!("threads {threads} block {block}");
-                    assert_eq!(via_matrix.hits1.to_bits(), b.hits1.to_bits(), "{ctx}: hits1");
-                    assert_eq!(via_matrix.hits10.to_bits(), b.hits10.to_bits(), "{ctx}: hits10");
-                    assert_eq!(via_matrix.mrr.to_bits(), b.mrr.to_bits(), "{ctx}: mrr");
-                }
-            });
-        }
     }
 
     #[test]

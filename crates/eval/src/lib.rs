@@ -5,8 +5,12 @@
 //! Implements the paper's protocol (Section V-A2): for each source entity,
 //! target entities are ranked by cosine similarity of their embeddings; the
 //! reported metrics are Hits@1, Hits@10 and MRR over the test seed links.
-//! Also provides CSLS re-ranking (a standard hubness correction used by
-//! several baselines) and paper-style table formatting.
+//! [`evaluate_ranking`] scores a materialized similarity matrix;
+//! [`evaluate`] scores query embeddings block by block against a
+//! [`Targets`] source ([`Table`], [`Shards`] or a retriever [`Shortlist`])
+//! without ever materializing the matrix. Also provides CSLS re-ranking
+//! ([`csls_rescale`], a standard hubness correction used by several
+//! baselines) and paper-style table formatting.
 
 #![forbid(unsafe_code)]
 
@@ -16,11 +20,10 @@ pub mod report;
 pub mod similarity;
 pub mod strings;
 
-pub use csls::{csls_metrics_blocked, csls_rescale, csls_rescale_with_means, neighborhood_means};
+pub use csls::csls_rescale;
 pub use metrics::{
-    evaluate_ranking, evaluate_ranking_blocked, evaluate_ranking_shards, evaluate_retrieved,
-    evaluate_retrieved_blocked, evaluate_retrieved_reranked_blocked, rank_of, AlignmentMetrics,
-    RescoreFn,
+    evaluate, evaluate_ranking, rank_of, AlignmentMetrics, RescoreFn, Shards, Shortlist, Table,
+    Targets,
 };
 pub use report::{format_table, TableRow};
 pub use similarity::{

@@ -1,20 +1,20 @@
 //! Hits@K and MRR over similarity rankings (paper Section V-A2).
 //!
-//! Two evaluation families live here. The *materialized* path
-//! ([`evaluate_ranking`]) scores a pre-computed `n × m` similarity matrix.
-//! The *blocked* path ([`evaluate_ranking_blocked`],
-//! [`evaluate_retrieved_blocked`], [`evaluate_ranking_shards`]) walks the
-//! queries in bounded row blocks so only one `block × m` (or `block ×
-//! shard`) slab is ever resident — the full matrix never exists. Both
-//! families rank every row with the same [`rank_of`] tie rule and
-//! accumulate metrics serially in global row order through [`RankAccum`],
-//! so the blocked results are **bit-identical** to the materialized ones at
-//! any block size and any `SDEA_THREADS` budget.
+//! Two entry points share one ranking code path. [`evaluate_ranking`]
+//! scores a pre-computed `n × m` similarity matrix in one go. [`evaluate`]
+//! takes the query embeddings and a [`Targets`] source — an in-memory
+//! [`Table`], on-disk [`Shards`] or a retriever [`Shortlist`] — and walks
+//! the queries in bounded row blocks, so only one block's scores are ever
+//! resident and the full matrix never exists. Both rank every row with the
+//! same [`rank_of`] tie rule and accumulate metrics serially in global row
+//! order through [`RankAccum`], so the dense sources are **bit-identical**
+//! to the matrix path at any block size and any `SDEA_THREADS` budget.
 
 use crate::similarity::{desc_nan_last, SimilarityMatrix};
-use sdea_index::Retriever;
+use sdea_index::{Hit, Retriever};
 use sdea_tensor::{EmbeddingShards, Tensor};
 use std::cmp::Ordering;
+use std::convert::Infallible;
 
 /// The paper's three reported metrics.
 #[derive(Copy, Clone, Debug, PartialEq, Default)]
@@ -23,7 +23,8 @@ pub struct AlignmentMetrics {
     pub hits1: f64,
     /// Hits@10 in `[0,1]`.
     pub hits10: f64,
-    /// Mean reciprocal rank in `(0,1]`.
+    /// Mean reciprocal rank in `[0,1]`; 0 only when no gold was ranked (a
+    /// [`Shortlist`] miss contributes a reciprocal rank of 0).
     pub mrr: f64,
 }
 
@@ -40,7 +41,7 @@ impl AlignmentMetrics {
 /// the one-shot f64 addition sequence exactly — that is what buys bitwise
 /// equality between the materialized and blocked paths.
 #[derive(Default)]
-pub(crate) struct RankAccum {
+struct RankAccum {
     rows: usize,
     h1: usize,
     h10: usize,
@@ -48,18 +49,18 @@ pub(crate) struct RankAccum {
 }
 
 impl RankAccum {
-    pub(crate) fn push(&mut self, rank: usize) {
+    /// Adds one query: `Some(rank)` for a ranked gold, `None` for a gold
+    /// the source never ranked (no hit, reciprocal rank 0).
+    fn push(&mut self, rank: Option<usize>) {
         self.rows += 1;
-        if rank == 1 {
-            self.h1 += 1;
+        if let Some(rank) = rank {
+            self.h1 += usize::from(rank == 1);
+            self.h10 += usize::from(rank <= 10);
+            self.mrr += 1.0 / rank as f64;
         }
-        if rank <= 10 {
-            self.h10 += 1;
-        }
-        self.mrr += 1.0 / rank as f64;
     }
 
-    pub(crate) fn finish(self) -> AlignmentMetrics {
+    fn finish(self) -> AlignmentMetrics {
         let n = self.rows.max(1) as f64;
         AlignmentMetrics {
             hits1: self.h1 as f64 / n,
@@ -101,278 +102,242 @@ pub fn rank_of(scores: &[f32], gold: usize) -> usize {
     rank
 }
 
+/// Checks one in-range gold target per query row, on the calling thread: a
+/// failure inside a parallel worker would surface as an opaque join panic
+/// instead of this message.
+fn check_gold(rows: usize, gold: &[usize], m: usize) {
+    assert_eq!(rows, gold.len(), "one gold target per query row");
+    for (i, &g) in gold.iter().enumerate() {
+        assert!(g < m, "evaluate: gold[{i}] column {g} out of range for {m} targets");
+    }
+}
+
+/// Ranks each row of a row-major `gold.len() × m` score slab against its
+/// gold column. Rows fan out across the thread budget; the caller
+/// accumulates them serially in row order, so MRR is bit-stable.
+fn rank_rows(slab: &[f32], m: usize, gold: &[usize]) -> Vec<Option<usize>> {
+    sdea_tensor::par_map_collect(gold.len(), m.max(1), |r| {
+        Some(rank_of(&slab[r * m..(r + 1) * m], gold[r]))
+    })
+}
+
 /// Evaluates a similarity matrix against gold targets: `gold[i]` is the
-/// column index of source row `i`'s true match.
+/// column index of source row `i`'s true match. This is the single-block
+/// case of [`evaluate`], and the oracle every blocked source is tested
+/// against.
 ///
 /// Panics with a descriptive message when any gold column is out of range;
 /// a zero-column matrix is therefore rejected up front unless `gold` is
 /// empty (no rows to rank — all metrics are 0).
 pub fn evaluate_ranking(sim: &SimilarityMatrix, gold: &[usize]) -> AlignmentMetrics {
-    assert_eq!(sim.shape()[0], gold.len(), "one gold target per source row");
     let m = sim.shape()[1];
-    // Validate on the calling thread: a failure inside a parallel worker
-    // would surface as an opaque join panic instead of this message.
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
-    }
+    check_gold(sim.shape()[0], gold, m);
     let _span = sdea_obs::span("eval.evaluate_ranking");
-    // Per-row ranks fan out across the thread budget; the f64 accumulation
-    // below stays serial and in row order, so MRR is bit-stable.
-    let ranks = sdea_tensor::par_map_collect(gold.len(), m.max(1), |i| {
-        rank_of(&sim.data()[i * m..(i + 1) * m], gold[i])
-    });
     let mut acc = RankAccum::default();
-    for rank in ranks {
-        acc.push(rank);
-    }
+    rank_rows(sim.data(), m, gold).into_iter().for_each(|r| acc.push(r));
     acc.finish()
 }
 
-/// Blocked form of the matrix evaluation: takes the *embeddings* rather
-/// than a pre-computed similarity matrix, walks the source rows in
-/// `block_rows`-high blocks (0 means one block), and scores each `block ×
-/// m` cosine slab as it is produced — the full `n × m` matrix is never
-/// materialized.
-///
-/// Bit-identical to `evaluate_ranking(&cosine_matrix(src, tgt), gold)` at
-/// any block size and thread budget: row normalization and the `matmul_t`
-/// kernel are per-row/per-element operations (a block row equals the
-/// corresponding full-matrix row bitwise), [`rank_of`] is pure per row, and
-/// [`RankAccum`] replays the same serial f64 additions in global row order.
-pub fn evaluate_ranking_blocked(
-    src: &Tensor,
-    tgt: &Tensor,
-    gold: &[usize],
-    block_rows: usize,
-) -> AlignmentMetrics {
-    assert_eq!(src.rank(), 2, "evaluate_ranking_blocked expects rank-2 src");
-    assert_eq!(tgt.rank(), 2, "evaluate_ranking_blocked expects rank-2 tgt");
-    assert_eq!(src.shape()[1], tgt.shape()[1], "embedding width mismatch");
-    assert_eq!(src.shape()[0], gold.len(), "one gold target per source row");
-    let m = tgt.shape()[0];
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_ranking_blocked");
-    let n = src.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    // Normalize the target side once; each source block is normalized on
-    // its own (row-wise, so block rows match the full-matrix rows bitwise).
-    let tgt_n = tgt.normalized_view();
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let sim_b = row_block(src, start, end).normalized_view().matmul_t(&tgt_n);
-        sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
-        let ranks = sdea_tensor::par_map_collect(end - start, m.max(1), |r| {
-            rank_of(&sim_b.data()[r * m..(r + 1) * m], gold[start + r])
-        });
-        for rank in ranks {
-            acc.push(rank);
-        }
-        start = end;
-    }
-    acc.finish()
+/// A target side [`evaluate`] ranks against, one query block at a time.
+/// The three sources are [`Table`], [`Shards`] and [`Shortlist`]; the
+/// driver owns validation, the block walk and the accumulation, a source
+/// only turns a block of queries into gold ranks.
+pub trait Targets {
+    /// What reading the targets can fail with: [`Infallible`] for the
+    /// in-memory sources, so their callers need no error handling.
+    type Error;
+    /// Whether a block scores every target — a `block × rows()` cosine
+    /// slab, counted in `eval.cosine_cells` — rather than a shortlist.
+    const DENSE: bool;
+    /// Number of target rows; gold ids index them.
+    fn rows(&self) -> usize;
+    /// Embedding width.
+    fn dim(&self) -> usize;
+    /// 1-based rank of each query's gold, `None` when the source did not
+    /// rank it. `block` holds the queries `start..start + gold.len()`.
+    fn ranks(
+        &mut self,
+        start: usize,
+        block: &Tensor,
+        gold: &[usize],
+    ) -> Result<Vec<Option<usize>>, Self::Error>;
 }
 
-/// Blocked matrix evaluation against a **sharded** target table: the target
-/// embeddings stream in from an [`EmbeddingShards`] spill directory one
-/// shard at a time, so neither the full target tensor nor the full `n × m`
-/// similarity matrix is ever resident. Each query block's similarity slab
-/// is assembled column-segment by column-segment (one segment per shard),
-/// then ranked exactly like the other paths.
-///
-/// Bit-identical to `evaluate_ranking(&cosine_matrix(src, &tgt.to_tensor()?),
-/// gold)` at any block size, shard height and thread budget, by the same
-/// argument as [`evaluate_ranking_blocked`] — a shard's normalized rows
-/// equal the full table's normalized rows, and every similarity cell is the
-/// same `matmul_t` dot product either way.
-pub fn evaluate_ranking_shards(
-    src: &Tensor,
-    tgt: &EmbeddingShards,
-    gold: &[usize],
-    block_rows: usize,
-) -> std::io::Result<AlignmentMetrics> {
-    assert_eq!(src.rank(), 2, "evaluate_ranking_shards expects rank-2 src");
-    assert_eq!(src.shape()[1], tgt.dim(), "embedding width mismatch");
-    assert_eq!(src.shape()[0], gold.len(), "one gold target per source row");
-    let m = tgt.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
+/// An in-memory target embedding table, scored exhaustively. Each block
+/// row equals the matching full-matrix row bitwise: row normalization and
+/// the `matmul_t` kernel are per-row/per-element operations. The table is
+/// normalized per block, `O(m·d)` next to the block's `O(block·m·d)`
+/// matmul.
+pub struct Table<'a>(pub &'a Tensor);
+
+impl Targets for Table<'_> {
+    type Error = Infallible;
+    const DENSE: bool = true;
+    fn rows(&self) -> usize {
+        self.0.shape()[0]
     }
-    let _span = sdea_obs::span("eval.evaluate_ranking_shards");
-    let n = src.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let qb = end - start;
-        let q_n = row_block(src, start, end).normalized_view();
+    fn dim(&self) -> usize {
+        assert_eq!(self.0.rank(), 2, "Table expects a rank-2 target table");
+        self.0.shape()[1]
+    }
+    fn ranks(
+        &mut self,
+        _: usize,
+        block: &Tensor,
+        gold: &[usize],
+    ) -> Result<Vec<Option<usize>>, Infallible> {
+        let sim = block.normalized_view().matmul_t(&self.0.normalized_view());
+        Ok(rank_rows(sim.data(), self.rows(), gold))
+    }
+}
+
+/// A target table spilled to an [`EmbeddingShards`] directory, read one
+/// shard at a time per query block: neither the full target tensor nor the
+/// full similarity matrix is ever resident. A shard's normalized rows
+/// equal the full table's, so every cell is the same `matmul_t` dot
+/// product as in a [`Table`].
+pub struct Shards<'a>(pub &'a EmbeddingShards);
+
+impl Targets for Shards<'_> {
+    type Error = std::io::Error;
+    const DENSE: bool = true;
+    fn rows(&self) -> usize {
+        self.0.len()
+    }
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn ranks(
+        &mut self,
+        _: usize,
+        block: &Tensor,
+        gold: &[usize],
+    ) -> std::io::Result<Vec<Option<usize>>> {
+        let (qb, m) = (gold.len(), self.0.len());
+        let q_n = block.normalized_view();
         let mut slab = vec![0.0f32; qb * m];
-        for s in 0..tgt.n_shards() {
-            let (c0, c1) = tgt.shard_range(s);
+        for s in 0..self.0.n_shards() {
+            let (c0, c1) = self.0.shard_range(s);
             let w = c1 - c0;
-            let cols = q_n.matmul_t(&tgt.read_shard(s)?.normalized_view());
+            let cols = q_n.matmul_t(&self.0.read_shard(s)?.normalized_view());
             for r in 0..qb {
                 slab[r * m + c0..r * m + c1].copy_from_slice(&cols.data()[r * w..(r + 1) * w]);
             }
         }
-        sdea_obs::add("eval.cosine_cells", (qb * m) as u64);
-        let ranks = sdea_tensor::par_map_collect(qb, m.max(1), |r| {
-            rank_of(&slab[r * m..(r + 1) * m], gold[start + r])
-        });
-        for rank in ranks {
-            acc.push(rank);
+        Ok(rank_rows(&slab, m, gold))
+    }
+}
+
+/// Per-block shortlist rescoring hook for a [`Shortlist`]: receives the
+/// block's global starting query row and its `(target_row, score)` hit
+/// lists, returns the rescored lists (one per query). A cross-encoder
+/// reranker plugs in here behind a closure — this crate deliberately does
+/// not depend on `sdea-core`.
+pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<Hit>>) -> Vec<Vec<Hit>> + 'a;
+
+/// The top-`k` hit lists of a [`Retriever`], optionally rescored. The
+/// gold's rank is its 1-based position in the (rescored) list. A gold
+/// missing from the list counts honestly: no hit and reciprocal rank 0.
+///
+/// With an exact backend and `k >= 10`, Hits@1 and Hits@10 equal the full
+/// ranking's and MRR is a lower bound on it (only golds ranked below `k`
+/// lose their tail term); at `k >= rows()` all three are bit-identical to
+/// [`evaluate_ranking`], because the hit list is a stable descending sort
+/// under [`desc_nan_last`] with ties broken by lower index — exactly
+/// [`rank_of`]'s tie rule. A `k` below 10 that does not cover every target
+/// leaves Hits@10 undefined and panics.
+///
+/// Retriever search is per query row and a rescorer must be too (the
+/// cross-encoder's pair scores are), so block composition cannot change
+/// any list.
+pub struct Shortlist<'a, 'f> {
+    /// Stage-1 retriever over the targets.
+    pub retr: &'a dyn Retriever,
+    /// Shortlist length per query.
+    pub k: usize,
+    /// Optional second-stage rescoring of each block's hit lists.
+    pub rescore: Option<&'a mut RescoreFn<'f>>,
+}
+
+impl Targets for Shortlist<'_, '_> {
+    type Error = Infallible;
+    const DENSE: bool = false;
+    fn rows(&self) -> usize {
+        self.retr.len()
+    }
+    fn dim(&self) -> usize {
+        self.retr.dim()
+    }
+    fn ranks(
+        &mut self,
+        start: usize,
+        block: &Tensor,
+        gold: &[usize],
+    ) -> Result<Vec<Option<usize>>, Infallible> {
+        assert!(
+            self.k >= 10.min(self.rows()),
+            "Shortlist k = {} is below 10 and below the {} targets: Hits@10 is undefined",
+            self.k,
+            self.rows()
+        );
+        let mut hits = self.retr.search(block, self.k);
+        if let Some(rescore) = self.rescore.as_mut() {
+            hits = rescore(start, hits);
         }
-        start = end;
+        Ok(hits
+            .iter()
+            .zip(gold)
+            .map(|(row, &g)| row.iter().position(|&(j, _)| j == g).map(|p| p + 1))
+            .collect())
+    }
+}
+
+/// Blocked evaluation: walks `queries` in `block_rows`-high row blocks (0
+/// means one block), hands each to the [`Targets`] source and accumulates
+/// the returned ranks in global row order. `gold[i]` is the target row of
+/// query `i`'s true match.
+///
+/// Dense sources ([`Table`], [`Shards`]) are bit-identical to
+/// `evaluate_ranking(&cosine_matrix(queries, targets), gold)` at any block
+/// size and thread budget. The error type follows the source: in-memory
+/// callers get `Result<_, Infallible>` and unwrap it with an irrefutable
+/// `let Ok(m) = …`.
+pub fn evaluate<T: Targets>(
+    queries: &Tensor,
+    mut targets: T,
+    gold: &[usize],
+    block_rows: usize,
+) -> Result<AlignmentMetrics, T::Error> {
+    assert_eq!(queries.rank(), 2, "evaluate expects rank-2 queries");
+    assert_eq!(queries.shape()[1], targets.dim(), "embedding width mismatch");
+    let (n, m) = (queries.shape()[0], targets.rows());
+    check_gold(n, gold, m);
+    let _span = sdea_obs::span("eval.evaluate");
+    let block = if block_rows == 0 { n.max(1) } else { block_rows };
+    let mut acc = RankAccum::default();
+    for start in (0..n).step_by(block) {
+        let end = (start + block).min(n);
+        let ranks = targets.ranks(start, &row_block(queries, start, end), &gold[start..end])?;
+        assert_eq!(ranks.len(), end - start, "a target source must rank every query of its block");
+        if T::DENSE {
+            sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
+        }
+        ranks.into_iter().for_each(|r| acc.push(r));
     }
     Ok(acc.finish())
 }
 
 /// Copies rows `r0..r1` of a rank-2 tensor into a standalone block tensor.
-pub(crate) fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
+fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
     let d = t.shape()[1];
     Tensor::from_vec(t.data()[r0 * d..r1 * d].to_vec(), &[r1 - r0, d])
-}
-
-/// Evaluates alignment through a [`Retriever`] shortlist instead of a
-/// materialized similarity matrix: `gold[i]` is the indexed row that is
-/// query `i`'s true match.
-///
-/// The gold's rank is its 1-based position in the top-`k` hit list when it
-/// appears there, else the lower bound `k + 1` (it lost to at least `k`
-/// candidates). With an exact backend and `k = retr.len()` this is
-/// bit-identical to [`evaluate_ranking`] over the full cosine matrix: the
-/// hit list is a stable descending sort under [`desc_nan_last`] with ties
-/// broken by lower index, exactly [`rank_of`]'s tie rule. With `k < len`
-/// (or an approximate backend) Hits@1/Hits@10 are unchanged as long as
-/// `k >= 10` and the shortlist recalls the gold; only the deep MRR tail is
-/// approximated — `k + 1` under-states a miss's true rank, so the
-/// truncated MRR upper-bounds the exact one.
-pub fn evaluate_retrieved(
-    retr: &dyn Retriever,
-    queries: &Tensor,
-    gold: &[usize],
-    k: usize,
-) -> AlignmentMetrics {
-    assert_eq!(queries.rank(), 2, "evaluate_retrieved expects rank-2 queries");
-    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let m = retr.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_retrieved: gold[{i}] row {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_retrieved");
-    let hits = retr.search(queries, k);
-    let mut acc = RankAccum::default();
-    // Serial, in query order: MRR accumulation stays bit-stable.
-    for (row, &g) in hits.iter().zip(gold) {
-        acc.push(retrieved_rank(row, g, k));
-    }
-    acc.finish()
-}
-
-/// Rank of `gold` in a retriever hit list: its 1-based position when
-/// present, else the lower bound `k + 1`.
-fn retrieved_rank(row: &[(usize, f32)], gold: usize, k: usize) -> usize {
-    match row.iter().position(|&(i, _)| i == gold) {
-        Some(p) => p + 1,
-        None => k + 1,
-    }
-}
-
-/// Blocked form of [`evaluate_retrieved`]: the queries walk through the
-/// retriever in `block_rows`-high blocks (0 means one block), so at most
-/// one block's hit lists are resident at a time instead of all `n`.
-///
-/// Bit-identical to [`evaluate_retrieved`] at any block size for every
-/// backend in this workspace: retriever search is a per-query-row
-/// operation (normalization, probing and scoring of query `i` never look
-/// at query `j`), so block composition cannot change any hit list, and
-/// [`RankAccum`] replays the same serial accumulation in global row order.
-pub fn evaluate_retrieved_blocked(
-    retr: &dyn Retriever,
-    queries: &Tensor,
-    gold: &[usize],
-    k: usize,
-    block_rows: usize,
-) -> AlignmentMetrics {
-    assert_eq!(queries.rank(), 2, "evaluate_retrieved expects rank-2 queries");
-    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let m = retr.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_retrieved: gold[{i}] row {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_retrieved_blocked");
-    let n = queries.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let hits = retr.search(&row_block(queries, start, end), k);
-        for (row, &g) in hits.iter().zip(&gold[start..end]) {
-            acc.push(retrieved_rank(row, g, k));
-        }
-        start = end;
-    }
-    acc.finish()
-}
-
-/// Per-block shortlist rescoring hook for
-/// [`evaluate_retrieved_reranked_blocked`]: receives the block's global
-/// starting query row and its `(target_row, score)` hit lists, returns the
-/// rescored lists (same outer length).
-pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<(usize, f32)>>) -> Vec<Vec<(usize, f32)>> + 'a;
-
-/// Blocked retrieval evaluation with a second-stage rescoring pass: each
-/// block's hit lists are handed to `rescore` (typically a cross-encoder
-/// reranker — `sdea_core::CrossEncoder::rerank_hits` behind a closure; this
-/// crate deliberately does not depend on `sdea-core`) together with the
-/// global index of the block's first query, and the *returned* lists are
-/// ranked. Like [`evaluate_retrieved_blocked`], only one block's hit lists
-/// are ever resident, so the `n × m` matrix never materializes.
-///
-/// With the identity closure `|_, hits| hits` this is bit-identical to
-/// [`evaluate_retrieved_blocked`] at any block size and thread budget
-/// (pinned by a test below). A real rescorer must itself be per-row for the
-/// block decomposition to stay exact — the cross-encoder's pair scores are.
-pub fn evaluate_retrieved_reranked_blocked(
-    retr: &dyn Retriever,
-    queries: &Tensor,
-    gold: &[usize],
-    k: usize,
-    block_rows: usize,
-    rescore: &mut RescoreFn<'_>,
-) -> AlignmentMetrics {
-    assert_eq!(queries.rank(), 2, "evaluate_retrieved expects rank-2 queries");
-    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let m = retr.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_retrieved: gold[{i}] row {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_retrieved_reranked_blocked");
-    let n = queries.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let hits = rescore(start, retr.search(&row_block(queries, start, end), k));
-        assert_eq!(hits.len(), end - start, "rescore must keep one hit list per query");
-        for (row, &g) in hits.iter().zip(&gold[start..end]) {
-            acc.push(retrieved_rank(row, g, k));
-        }
-        start = end;
-    }
-    acc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdea_index::ExactRetriever;
+    use crate::similarity::cosine_matrix;
+    use sdea_index::{ExactRetriever, IndexConfig, IndexKind, IvfRetriever};
 
     #[test]
     fn rank_of_basics() {
@@ -474,21 +439,6 @@ mod tests {
         assert!((m.mrr - (1.0 / 3.0 + 1.0) / 2.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn evaluate_retrieved_with_full_k_matches_matrix_path_bitwise() {
-        use sdea_tensor::Rng;
-        let mut rng = Rng::seed_from_u64(9);
-        let src = Tensor::rand_normal(&[30, 8], 1.0, &mut rng);
-        let tgt = Tensor::rand_normal(&[40, 8], 1.0, &mut rng);
-        let gold: Vec<usize> = (0..30).map(|i| (i * 7) % 40).collect();
-        let via_matrix = evaluate_ranking(&crate::similarity::cosine_matrix(&src, &tgt), &gold);
-        let retr = ExactRetriever::new(&tgt);
-        let via_retr = evaluate_retrieved(&retr, &src, &gold, 40);
-        assert_eq!(via_matrix.hits1.to_bits(), via_retr.hits1.to_bits());
-        assert_eq!(via_matrix.hits10.to_bits(), via_retr.hits10.to_bits());
-        assert_eq!(via_matrix.mrr.to_bits(), via_retr.mrr.to_bits());
-    }
-
     fn assert_bitwise(a: &AlignmentMetrics, b: &AlignmentMetrics, ctx: &str) {
         assert_eq!(a.hits1.to_bits(), b.hits1.to_bits(), "{ctx}: hits1");
         assert_eq!(a.hits10.to_bits(), b.hits10.to_bits(), "{ctx}: hits10");
@@ -504,126 +454,140 @@ mod tests {
         (src, tgt, gold)
     }
 
-    #[test]
-    fn blocked_ranking_matches_matrix_path_bitwise_at_any_block_and_threads() {
-        use sdea_tensor::with_thread_budget;
-        let (src, tgt, gold) = random_pair();
-        let via_matrix = evaluate_ranking(&crate::similarity::cosine_matrix(&src, &tgt), &gold);
-        for threads in [1usize, 8] {
-            with_thread_budget(threads, || {
-                for block in [0usize, 1, 7, 30, 1000] {
-                    let b = evaluate_ranking_blocked(&src, &tgt, &gold, block);
-                    assert_bitwise(&via_matrix, &b, &format!("threads {threads} block {block}"));
-                }
-            });
-        }
+    /// In-memory evaluation cannot fail: the error type is uninhabited.
+    fn infallible(r: Result<AlignmentMetrics, Infallible>) -> AlignmentMetrics {
+        let Ok(m) = r;
+        m
     }
 
+    /// Every target source at every block height and thread budget against
+    /// the materialized matrix oracle, bitwise. A rescorer that moves the
+    /// gold to the front must match the oracle over a matrix whose gold
+    /// cells score +inf — which also pins the `start` offset the closure
+    /// indexes the gold slice with.
     #[test]
-    fn blocked_retrieval_matches_one_shot_retrieval_bitwise() {
-        use sdea_index::{IndexConfig, IndexKind, IvfRetriever};
-        let (src, tgt, gold) = random_pair();
-        let exact = ExactRetriever::new(&tgt);
-        let ivf = IvfRetriever::build(
-            &tgt,
-            &IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 2, quantize: true },
-        );
-        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
-            for k in [5usize, 40] {
-                let one_shot = evaluate_retrieved(retr, &src, &gold, k);
-                for block in [0usize, 1, 7, 30, 1000] {
-                    let b = evaluate_retrieved_blocked(retr, &src, &gold, k, block);
-                    assert_bitwise(&one_shot, &b, &format!("{name} k {k} block {block}"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reranked_blocked_with_identity_rescore_matches_plain_blocked_bitwise() {
-        use sdea_index::{IndexConfig, IndexKind, IvfRetriever};
+    fn every_target_source_matches_the_matrix_oracle_bitwise() {
         use sdea_tensor::with_thread_budget;
         let (src, tgt, gold) = random_pair();
+        let (n, m) = (gold.len(), tgt.shape()[0]);
+        let mut sim = cosine_matrix(&src, &tgt);
+        let oracle = evaluate_ranking(&sim, &gold);
+        for (i, &g) in gold.iter().enumerate() {
+            sim.row_mut(i)[g] = f32::INFINITY;
+        }
+        let front_oracle = evaluate_ranking(&sim, &gold);
+
+        let base = std::env::temp_dir().join(format!("sdea_eval_shards_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let shard_sets: Vec<EmbeddingShards> = [1usize, 7, 40]
+            .iter()
+            .map(|&h| {
+                let shards =
+                    EmbeddingShards::open_or_create(base.join(format!("h{h}")), m, 8, h, 1)
+                        .expect("create shards");
+                for s in 0..shards.n_shards() {
+                    let (r0, r1) = shards.shard_range(s);
+                    shards.write_shard(s, &row_block(&tgt, r0, r1)).expect("write shard");
+                }
+                shards
+            })
+            .collect();
         let exact = ExactRetriever::new(&tgt);
-        let ivf = IvfRetriever::build(
-            &tgt,
-            &IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 2, quantize: true },
-        );
-        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
+        let ivf_with = |nprobe| {
+            let cfg = IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe, quantize: true };
+            IvfRetriever::build(&tgt, &cfg)
+        };
+        let (ivf, ivf2) = (ivf_with(0), ivf_with(2));
+
+        type Run<'a> = Box<dyn Fn(usize) -> AlignmentMetrics + 'a>;
+        let (src, gold) = (&src, &gold);
+        let mut cases: Vec<(String, AlignmentMetrics, Run)> = vec![(
+            "table".into(),
+            oracle,
+            Box::new(|b| infallible(evaluate(src, Table(&tgt), gold, b))),
+        )];
+        for shards in &shard_sets {
+            let name = format!("shards of {}", shards.shard_range(0).1);
+            let run = move |b| evaluate(src, Shards(shards), gold, b).expect("sharded eval");
+            cases.push((name, oracle, Box::new(run)));
+        }
+        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf nprobe=0", &ivf)] {
+            let plain = move |b| {
+                infallible(evaluate(src, Shortlist { retr, k: m, rescore: None }, gold, b))
+            };
+            let identity = move |b| {
+                let shortlist = Shortlist { retr, k: m, rescore: Some(&mut |_, hits| hits) };
+                infallible(evaluate(src, shortlist, gold, b))
+            };
+            let front = move |b| {
+                let mut to_front = |start: usize, mut hits: Vec<Vec<Hit>>| {
+                    for (r, row) in hits.iter_mut().enumerate() {
+                        row.sort_by_key(|&(j, _)| j != gold[start + r]);
+                    }
+                    hits
+                };
+                let shortlist = Shortlist { retr, k: m, rescore: Some(&mut to_front) };
+                infallible(evaluate(src, shortlist, gold, b))
+            };
+            cases.push((format!("{name} k=m"), oracle, Box::new(plain)));
+            cases.push((format!("{name} identity rescore"), oracle, Box::new(identity)));
+            cases.push((format!("{name} gold-to-front rescore"), front_oracle, Box::new(front)));
+        }
+        // Truncated and approximate shortlists have no matrix oracle; they
+        // must still be invariant to block height and thread budget, so
+        // their oracle is the one-block evaluation.
+        for (name, retr, k) in [
+            ("exact", &exact as &dyn Retriever, 10),
+            ("ivf nprobe=2", &ivf2, 10),
+            ("ivf nprobe=2", &ivf2, m),
+        ] {
+            let run =
+                move |b| infallible(evaluate(src, Shortlist { retr, k, rescore: None }, gold, b));
+            cases.push((format!("{name} k={k}"), run(0), Box::new(run)));
+        }
+
+        // One budget scope per case keeps each hold of the budget lock short
+        // (and its allocations small) for tests waiting on it.
+        for (name, want, run) in &cases {
             for threads in [1usize, 8] {
                 with_thread_budget(threads, || {
-                    for block in [0usize, 1, 7, 30] {
-                        let plain = evaluate_retrieved_blocked(retr, &src, &gold, 10, block);
-                        let rr = evaluate_retrieved_reranked_blocked(
-                            retr,
-                            &src,
-                            &gold,
-                            10,
-                            block,
-                            &mut |_, hits| hits,
-                        );
-                        assert_bitwise(&plain, &rr, &format!("{name} t{threads} block {block}"));
+                    for block in [0usize, 1, 7, n, n + 1000] {
+                        let ctx = format!("{name} threads {threads} block {block}");
+                        assert_bitwise(want, &run(block), &ctx);
                     }
                 });
             }
         }
-    }
-
-    #[test]
-    fn reranked_blocked_applies_the_rescorer() {
-        // A rescorer that moves the gold to the front everywhere must give
-        // perfect Hits@1, whatever stage 1 said. The `start` offset indexes
-        // the gold slice — that is the contract the closure relies on.
-        let (src, tgt, gold) = random_pair();
-        let retr = ExactRetriever::new(&tgt);
-        let gold_ref = gold.clone();
-        let m =
-            evaluate_retrieved_reranked_blocked(&retr, &src, &gold, 40, 7, &mut |start, hits| {
-                hits.into_iter()
-                    .enumerate()
-                    .map(|(r, mut row)| {
-                        let g = gold_ref[start + r];
-                        row.sort_by_key(|&(j, _)| (j != g) as u8);
-                        row
-                    })
-                    .collect()
-            });
-        assert_eq!(m.hits1, 1.0);
-    }
-
-    #[test]
-    fn sharded_target_evaluation_matches_matrix_path_bitwise() {
-        let (src, tgt, gold) = random_pair();
-        let via_matrix = evaluate_ranking(&crate::similarity::cosine_matrix(&src, &tgt), &gold);
-        let base = std::env::temp_dir().join(format!("sdea_eval_shards_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        for shard_rows in [1usize, 7, 40] {
-            let dir = base.join(format!("h{shard_rows}"));
-            let shards = EmbeddingShards::open_or_create(&dir, 40, 8, shard_rows, 0xfeed)
-                .expect("create shards");
-            for s in 0..shards.n_shards() {
-                let (r0, r1) = shards.shard_range(s);
-                shards.write_shard(s, &row_block(&tgt, r0, r1)).expect("write shard");
-            }
-            for block in [0usize, 1, 7, 30] {
-                let b = evaluate_ranking_shards(&src, &shards, &gold, block).expect("sharded eval");
-                assert_bitwise(&via_matrix, &b, &format!("shards {shard_rows} block {block}"));
-            }
-        }
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// A gold at true rank 11–20 sits outside a `k = 10` shortlist: it is
+    /// no hit and contributes reciprocal rank 0, never the `1 / (k + 1)` a
+    /// lower-bound rank would claim.
     #[test]
-    fn evaluate_retrieved_misses_get_the_lower_bound_rank() {
-        // One target is the opposite of the query; with k = 1 the gold is
-        // outside the shortlist and must count as rank k + 1 = 2.
-        let tgt = Tensor::from_vec(vec![1.0, 0.0, -1.0, 0.0], &[2, 2]);
+    fn shortlist_miss_counts_no_hit_and_zero_reciprocal_rank() {
+        // 20 unit targets at increasing angles from the query: true rank of
+        // target j is j + 1.
+        let tgt: Vec<f32> =
+            (0..20).flat_map(|j| [(j as f32 * 0.1).cos(), (j as f32 * 0.1).sin()]).collect();
+        let tgt = Tensor::from_vec(tgt, &[20, 2]);
         let q = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
         let retr = ExactRetriever::new(&tgt);
-        let m = evaluate_retrieved(&retr, &q, &[1], 1);
-        assert_eq!(m.hits1, 0.0);
-        assert_eq!(m.hits10, 1.0, "rank 2 still counts for Hits@10");
-        assert!((m.mrr - 0.5).abs() < 1e-12);
+        for gold in 10..20 {
+            assert_eq!(rank_of(cosine_matrix(&q, &tgt).row(0), gold), gold + 1);
+            let shortlist = Shortlist { retr: &retr, k: 10, rescore: None };
+            let m = infallible(evaluate(&q, shortlist, &[gold], 0));
+            assert_eq!(m, AlignmentMetrics::default(), "gold at true rank {}", gold + 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Shortlist k = 5 is below 10 and below the 20 targets")]
+    fn shortlist_below_ten_is_rejected() {
+        let tgt = Tensor::from_vec((0..40).map(|i| i as f32).collect(), &[20, 2]);
+        let q = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
+        let retr = ExactRetriever::new(&tgt);
+        let _ = evaluate(&q, Shortlist { retr: &retr, k: 5, rescore: None }, &[0], 0);
     }
 
     /// Regression (serving hardening): zero-norm embedding rows — e.g. an
@@ -633,13 +597,12 @@ mod tests {
     /// a zero row's cosine against anything is exactly `0.0`.
     #[test]
     fn zero_norm_rows_agree_across_paths_and_keep_mrr_finite() {
-        use sdea_index::{IndexConfig, IndexKind, IvfRetriever};
         // src row 1 and tgt rows 0, 2 are all-zero.
         let src = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.6, 0.8], &[3, 2]);
         let tgt =
             Tensor::from_vec(vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0], &[5, 2]);
         let gold = vec![1, 0, 4];
-        let sim = crate::similarity::cosine_matrix(&src, &tgt);
+        let sim = cosine_matrix(&src, &tgt);
         // Zero rows and zero columns score exactly 0.0 — bitwise, not NaN.
         for j in 0..5 {
             assert_eq!(sim.row(1)[j].to_bits(), 0.0f32.to_bits(), "zero query vs target {j}");
@@ -663,13 +626,9 @@ mod tests {
             &tgt,
             &IndexConfig { kind: IndexKind::Ivf, nlist: 2, nprobe: 0, quantize: true },
         );
-        for (name, m) in [
-            ("exact", evaluate_retrieved(&exact, &src, &gold, 5)),
-            ("ivf", evaluate_retrieved(&ivf, &src, &gold, 5)),
-        ] {
-            assert_eq!(m.hits1.to_bits(), via_matrix.hits1.to_bits(), "{name} hits1");
-            assert_eq!(m.hits10.to_bits(), via_matrix.hits10.to_bits(), "{name} hits10");
-            assert_eq!(m.mrr.to_bits(), via_matrix.mrr.to_bits(), "{name} mrr");
+        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
+            let m = infallible(evaluate(&src, Shortlist { retr, k: 5, rescore: None }, &gold, 0));
+            assert_bitwise(&via_matrix, &m, name);
         }
     }
 
@@ -679,7 +638,7 @@ mod tests {
     fn all_zero_query_row_ranks_by_index_ties() {
         let src = Tensor::zeros(&[1, 3]);
         let tgt = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0], &[2, 3]);
-        let sim = crate::similarity::cosine_matrix(&src, &tgt);
+        let sim = cosine_matrix(&src, &tgt);
         assert_eq!(rank_of(sim.row(0), 0), 1);
         assert_eq!(rank_of(sim.row(0), 1), 2);
         let m = evaluate_ranking(&sim, &[1]);

@@ -1,13 +1,10 @@
-//! End-to-end metric equivalence: Hits@1 / Hits@10 / MRR and the CSLS
-//! neighbourhood terms computed through the retrieval layer (IVF at
-//! `nprobe = all`, quantized or not) are bit-identical to the historical
-//! full-matrix path, at SDEA_THREADS budgets 1 and 8.
+//! End-to-end metric equivalence: Hits@1 / Hits@10 / MRR computed through
+//! the retrieval layer (IVF at `nprobe = all`, quantized or not) are
+//! bit-identical to the historical full-matrix path, at SDEA_THREADS
+//! budgets 1 and 8.
 
-use sdea_eval::{
-    cosine_matrix, csls_rescale, csls_rescale_with_means, evaluate_ranking, evaluate_retrieved,
-    neighborhood_means,
-};
-use sdea_index::{build_retriever, IndexConfig, IndexKind};
+use sdea_eval::{cosine_matrix, evaluate, evaluate_ranking, AlignmentMetrics, Shortlist};
+use sdea_index::{build_retriever, IndexConfig, IndexKind, Retriever};
 use sdea_tensor::{with_thread_budget, Rng, Tensor};
 
 fn aligned_world(n: usize, d: usize, seed: u64) -> (Tensor, Tensor, Vec<usize>) {
@@ -26,6 +23,17 @@ fn aligned_world(n: usize, d: usize, seed: u64) -> (Tensor, Tensor, Vec<usize>) 
     (Tensor::from_vec(src, &[n, d]), Tensor::from_vec(tgt, &[n, d]), gold)
 }
 
+/// Metrics over a retriever's top-`k` shortlists, all queries in one block.
+fn shortlist_metrics(
+    retr: &dyn Retriever,
+    q: &Tensor,
+    gold: &[usize],
+    k: usize,
+) -> AlignmentMetrics {
+    let Ok(m) = evaluate(q, Shortlist { retr, k, rescore: None }, gold, 0);
+    m
+}
+
 fn configs() -> Vec<IndexConfig> {
     vec![
         IndexConfig::default(),
@@ -42,7 +50,7 @@ fn metrics_via_any_exact_backend_match_the_matrix_path_bitwise() {
         let retr = build_retriever(&tgt, &cfg);
         for budget in [1usize, 8] {
             let got = with_thread_budget(budget, || {
-                evaluate_retrieved(retr.as_ref(), &src, &gold, tgt.shape()[0])
+                shortlist_metrics(retr.as_ref(), &src, &gold, tgt.shape()[0])
             });
             let ctx = format!("{cfg:?} budget={budget}");
             assert_eq!(expected.hits1.to_bits(), got.hits1.to_bits(), "hits1 {ctx}");
@@ -53,38 +61,16 @@ fn metrics_via_any_exact_backend_match_the_matrix_path_bitwise() {
 }
 
 #[test]
-fn csls_via_retriever_means_matches_the_matrix_path_bitwise() {
-    let (src, tgt, _) = aligned_world(90, 12, 32);
-    let sim = cosine_matrix(&src, &tgt);
-    let k = 10;
-    let direct = csls_rescale(&sim, k);
-    for cfg in configs() {
-        let tgt_index = build_retriever(&tgt, &cfg);
-        let src_index = build_retriever(&src, &cfg);
-        for budget in [1usize, 8] {
-            let rescaled = with_thread_budget(budget, || {
-                let r_src = neighborhood_means(tgt_index.as_ref(), &src, k);
-                let r_tgt = neighborhood_means(src_index.as_ref(), &tgt, k);
-                csls_rescale_with_means(&sim, &r_src, &r_tgt)
-            });
-            for (i, (x, y)) in rescaled.data().iter().zip(direct.data()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "cell {i} {cfg:?} budget={budget}");
-            }
-        }
-    }
-}
-
-#[test]
 fn truncated_shortlists_preserve_shallow_metrics() {
     // With k = 10 every hit that matters for Hits@1/Hits@10 is still in
-    // the shortlist; only MRR's deep tail is approximated (from below).
+    // the shortlist; only MRR's deep tail is lost.
     let (src, tgt, gold) = aligned_world(100, 16, 33);
     let full = evaluate_ranking(&cosine_matrix(&src, &tgt), &gold);
     let retr = build_retriever(&tgt, &IndexConfig::default());
-    let short = evaluate_retrieved(retr.as_ref(), &src, &gold, 10);
+    let short = shortlist_metrics(retr.as_ref(), &src, &gold, 10);
     assert_eq!(full.hits1.to_bits(), short.hits1.to_bits());
     assert_eq!(full.hits10.to_bits(), short.hits10.to_bits());
-    // A miss counts as rank k+1, a lower bound on the true rank — so the
-    // truncated MRR can only over-state the deep tail, never lose hits.
-    assert!(short.mrr >= full.mrr - 1e-12, "rank k+1 is a lower bound on the true rank");
+    // A miss contributes reciprocal rank 0, so the truncated MRR is a
+    // lower bound on the full one.
+    assert!(short.mrr <= full.mrr, "a shortlist miss must not add reciprocal rank");
 }

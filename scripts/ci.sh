@@ -89,12 +89,24 @@ echo "=== rerank smoke ==="
 # Rerank-off bitwise equivalence: with no reranker configured, serving and
 # evaluation answers must be bit-identical to the stage-1-only paths at
 # both thread budgets (the serve suite also pins the reranked path's
-# batch-invisibility; the core property suite pins pair-scoring's
-# order/padding invariance).
+# batch-invisibility; the eval test pins every target source of the
+# blocked evaluator, rescored shortlists included, to the matrix path; the
+# core property suite pins pair-scoring's order/padding invariance).
+# cargo passes a name filter that matches nothing, so the eval run must
+# report at least one passed test or a rename would empty this gate.
 for threads in 1 8; do
   echo "=== rerank equivalence: SDEA_THREADS=$threads ==="
   SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
-  SDEA_THREADS="$threads" cargo test -q --release -p sdea-eval reranked_blocked
+  EVAL_OUT="$(SDEA_THREADS="$threads" cargo test -q --release -p sdea-eval \
+    every_target_source_matches_the_matrix_oracle_bitwise 2>&1)" || {
+    echo "$EVAL_OUT"
+    exit 1
+  }
+  echo "$EVAL_OUT"
+  grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$EVAL_OUT" || {
+    echo "rerank equivalence: the eval name filter selected zero tests" >&2
+    exit 1
+  }
   SDEA_THREADS="$threads" cargo test -q --release -p sdea-core --test rerank_property
 done
 
