@@ -21,6 +21,9 @@ use sdea_tensor::{
 use sdea_text::{Tokenizer, WordPieceTrainer};
 use std::sync::Arc;
 
+/// Row cap of one eval-mode tape in [`AttrModule::embed_rows`].
+const EMBED_BATCH_MAX: usize = 64;
+
 /// Progress record of one fine-tuning run.
 #[derive(Clone, Debug, Default)]
 pub struct AttrFitReport {
@@ -281,6 +284,12 @@ impl AttrModule {
     /// shared token cache by index instead of copying token rows into a
     /// temporary sub-cache (the per-epoch candidate regeneration in
     /// [`AttrModule::fit`] used to clone every source row each round).
+    ///
+    /// The rows are cut into `⌈n / max_threads()⌉`-row batches, at most
+    /// [`EMBED_BATCH_MAX`] each, so every worker of the budget gets an even
+    /// share. Each batch runs on its own inference tape
+    /// ([`Graph::inference`]). Per-row outputs do not depend on the batch
+    /// a row rides in, so the cut never changes a bit.
     pub fn embed_rows(&self, cache: &[Vec<u32>], rows: &[usize], rng: &mut Rng) -> Tensor {
         let _span = sdea_obs::span("embed_all");
         // Eval-mode forwards draw no randomness (asserted by the
@@ -290,14 +299,14 @@ impl AttrModule {
         let _ = rng;
         let n = rows.len();
         let d = self.cfg.embed_dim;
-        let batch = 64usize;
+        let batch = n.div_ceil(sdea_tensor::max_threads()).clamp(1, EMBED_BATCH_MAX);
         let n_batches = n.div_ceil(batch);
         let parts = sdea_tensor::par_map_collect(n_batches, 1 << 20, |bi| {
             let start = bi * batch;
             let end = (start + batch).min(n);
             let ids: Vec<EntityId> = rows[start..end].iter().map(|&r| EntityId(r as u32)).collect();
             let mut batch_rng = Rng::seed_from_u64(0x5dea_0000 ^ bi as u64);
-            let g = Graph::new();
+            let g = Graph::inference(&self.store);
             let v = self.embed_batch_var(&g, cache, &ids, false, &mut batch_rng);
             g.value_cloned(v)
         });
@@ -386,6 +395,13 @@ impl AttrModule {
         let mut best_snapshot;
         let mut strikes = 0usize;
         let mut start_epoch = 0usize;
+        // The KG2 table of the current weights, when a validation has just
+        // computed it. Nothing changes the weights between a validation and
+        // the next epoch's candidate generation, so that table is reused
+        // there instead of re-embedding KG2 (Algorithm 2 still draws
+        // candidates from the current embeddings). A resumed run starts
+        // without one and recomputes it.
+        let mut emb2_reuse: Option<Tensor> = None;
         let resume = ckpt.as_mut().and_then(|c| c.latest_stage_state(checkpoint::Stage::Attr));
         match resume {
             Some(st) if self.store.restore_from_named(&st.store).is_ok() => {
@@ -410,7 +426,7 @@ impl AttrModule {
                 // The pre-trained state itself is the first early-stopping
                 // candidate: if fine-tuning only hurts (possible with few
                 // seeds), it is rolled back entirely.
-                best_hits = self.validate(cache1, cache2, valid, rng);
+                (best_hits, emb2_reuse) = self.validate_table(cache1, cache2, valid, rng);
                 best_snapshot = self.store.snapshot();
             }
         }
@@ -430,7 +446,10 @@ impl AttrModule {
             // Lines 2–4: embed, regenerate candidates.
             let cands = {
                 let _span = sdea_obs::span("candidates");
-                let emb2_all = self.embed_all(cache2, rng);
+                let emb2_all = match emb2_reuse.take() {
+                    Some(table) => table,
+                    None => self.embed_all(cache2, rng),
+                };
                 let src_emb = self.embed_rows(cache1, &src_rows, rng);
                 CandidateSet::generate_with(
                     &sources,
@@ -471,9 +490,10 @@ impl AttrModule {
             sdea_obs::add("attr.epochs", 1);
 
             // Line 11: validation Hits@1; early stopping (Section V-A3).
-            let hits1 = {
+            let hits1;
+            (hits1, emb2_reuse) = {
                 let _span = sdea_obs::span("validate");
-                self.validate(cache1, cache2, valid, rng)
+                self.validate_table(cache1, cache2, valid, rng)
             };
             report.valid_hits1.push(hits1);
             let mut stop = false;
@@ -528,8 +548,20 @@ impl AttrModule {
         valid: &[(EntityId, EntityId)],
         rng: &mut Rng,
     ) -> f64 {
+        self.validate_table(cache1, cache2, valid, rng).0
+    }
+
+    /// [`AttrModule::validate`], also returning the KG2 table it embedded
+    /// (`None` when `valid` is empty and nothing was embedded).
+    fn validate_table(
+        &self,
+        cache1: &[Vec<u32>],
+        cache2: &[Vec<u32>],
+        valid: &[(EntityId, EntityId)],
+        rng: &mut Rng,
+    ) -> (f64, Option<Tensor>) {
         if valid.is_empty() {
-            return 0.0;
+            return (0.0, None);
         }
         let emb2_all = self.embed_all(cache2, rng);
         // embed only the validation sources, viewed in place
@@ -539,7 +571,7 @@ impl AttrModule {
         // Blocked: only an `eval_block_rows × n2` similarity slab is ever
         // resident, bit-identical to the materialized matrix path.
         let Ok(metrics) = evaluate(&src_emb, Table(&emb2_all), &gold, self.cfg.eval_block_rows);
-        metrics.hits1
+        (metrics.hits1, Some(emb2_all))
     }
 }
 
@@ -629,6 +661,85 @@ mod tests {
         let a = module.embed_all(&cache, &mut rng);
         let b = module.embed_all(&cache, &mut rng);
         assert_eq!(a, b);
+    }
+
+    /// Algorithm 2 reuses each validation's KG2 table as the next epoch's
+    /// candidate table: a fresh fit over E validated epochs runs 1 + E KG2
+    /// forwards (the pre-loop validation, then one per epoch), not 1 + 2E.
+    #[test]
+    fn fit_embeds_kg2_once_per_validated_epoch() {
+        let (s1, s2, pairs) = toy();
+        let mut rng = Rng::seed_from_u64(17);
+        let mut cfg = SdeaConfig::test_tiny();
+        cfg.mlm_epochs = 0;
+        cfg.attr_epochs = 3;
+        cfg.patience = cfg.attr_epochs + 1;
+        let corpus: Vec<String> = s1.iter().chain(&s2).cloned().collect();
+        let mut module = AttrModule::build(&cfg, &corpus, &mut rng);
+        let cache1 = module.token_cache(&s1);
+        let cache2 = module.token_cache(&s2);
+        sdea_obs::set_enabled(true);
+        // Span paths are the spans open on the recording thread, so an
+        // outer span keeps this fit's counts apart from other tests' fits.
+        let report = {
+            let _outer = sdea_obs::span("kg2_reuse_test");
+            module.fit(&cache1, &cache2, &pairs[..16], &pairs[16..], &mut rng)
+        };
+        let epochs = report.valid_hits1.len() as u64;
+        assert_eq!(epochs, cfg.attr_epochs as u64);
+        let spans = sdea_obs::snapshot().spans;
+        let embeds = |under: &str| {
+            spans.get(&format!("kg2_reuse_test.attr.fit{under}.embed_all")).map_or(0, |s| s.count)
+        };
+        // Every validation also embeds its sources (1 + E forwards) and
+        // every epoch's candidate generation its train sources (E).
+        let all = embeds("") + embeds(".epoch.candidates") + embeds(".epoch.validate");
+        let kg2 = all - (1 + 2 * epochs);
+        assert_eq!(kg2, 1 + epochs, "KG2 table forwards");
+        assert_eq!(embeds(".epoch.candidates"), epochs, "candidates embed only train sources");
+    }
+
+    /// The eval-mode forward on an inference tape is bit-equal to the same
+    /// forward on a recording tape, for the bulk path and the one-row
+    /// serving path, and the inference tape holds no backward closures.
+    #[test]
+    fn inference_tape_matches_recording_tape_bitwise() {
+        let (s1, _, _) = toy();
+        let mut rng = Rng::seed_from_u64(19);
+        let mut cfg = SdeaConfig::test_tiny();
+        cfg.mlm_epochs = 0;
+        let module = AttrModule::build(&cfg, &s1, &mut rng);
+        let cache = module.token_cache(&s1);
+        let ids: Vec<EntityId> = (0..s1.len() as u32).map(EntityId).collect();
+        let recorded = |cache: &[Vec<u32>], ids: &[EntityId]| {
+            let g = Graph::new();
+            let v = module.embed_batch_var(&g, cache, ids, false, &mut Rng::seed_from_u64(0));
+            assert!(g.backward_fns() > 0, "a recording tape keeps its closures");
+            g.value_cloned(v)
+        };
+        let reference = recorded(&cache, &ids);
+        assert_eq!(module.embed_all(&cache, &mut rng), reference);
+        let g = Graph::inference(&module.store);
+        let v = module.embed_batch_var(&g, &cache, &ids, false, &mut rng);
+        assert_eq!(g.value_cloned(v), reference);
+        assert_eq!(g.backward_fns(), 0);
+        let one = vec![module.tokenize_query(&s1[5])];
+        assert_eq!(module.embed_token_rows(&one), recorded(&one, &[EntityId(0)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called on an inference tape")]
+    fn backward_on_an_inference_tape_panics() {
+        let (s1, _, _) = toy();
+        let mut rng = Rng::seed_from_u64(23);
+        let mut cfg = SdeaConfig::test_tiny();
+        cfg.mlm_epochs = 0;
+        let module = AttrModule::build(&cfg, &s1, &mut rng);
+        let cache = module.token_cache(&s1);
+        let g = Graph::inference(&module.store);
+        let v = module.embed_batch_var(&g, &cache, &[EntityId(0)], false, &mut rng);
+        let loss = g.sum_all(v);
+        g.backward(loss);
     }
 
     fn spill_dir(tag: &str) -> std::path::PathBuf {

@@ -11,6 +11,10 @@ fn toy_corpus(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("entity epsilon{i} born {} in zeta{}", 1900 + i % 90, i % 13)).collect()
 }
 
+/// `embed_rows` cuts its rows into `⌈n / budget⌉`-row batches of at most
+/// 64. Every (budget, row count) cut, including ragged last batches and
+/// counts around the 64-row cap, must reproduce the one-row-per-batch
+/// embeddings bit for bit.
 #[test]
 fn embed_all_bitwise_equal_across_budgets() {
     let corpus = toy_corpus(150); // > 2 batches of 64
@@ -19,10 +23,32 @@ fn embed_all_bitwise_equal_across_budgets() {
     cfg.mlm_epochs = 0;
     let module = AttrModule::build(&cfg, &corpus, &mut rng);
     let cache = module.token_cache(&corpus);
-    let serial = with_thread_budget(1, || module.embed_all(&cache, &mut Rng::seed_from_u64(9)));
-    let par = with_thread_budget(8, || module.embed_all(&cache, &mut Rng::seed_from_u64(9)));
-    assert_eq!(serial, par);
-    assert_eq!(serial.shape(), &[150, cfg.embed_dim]);
+    let d = cfg.embed_dim;
+    let one_row: Vec<f32> = with_thread_budget(1, || {
+        (0..corpus.len())
+            .flat_map(|r| module.embed_rows(&cache, &[r], &mut Rng::seed_from_u64(9)).into_data())
+            .collect()
+    });
+    for budget in [1usize, 2, 3, 8] {
+        for n in [1usize, 2, 64, 65, 99, 150] {
+            // A strided view, so rows are not simply the first n entities.
+            let rows: Vec<usize> = (0..n).map(|i| (i * 7) % corpus.len()).collect();
+            let got = with_thread_budget(budget, || {
+                module.embed_rows(&cache, &rows, &mut Rng::seed_from_u64(9))
+            });
+            assert_eq!(got.shape(), &[n, d]);
+            for (i, &r) in rows.iter().enumerate() {
+                assert_eq!(
+                    got.row(i),
+                    &one_row[r * d..(r + 1) * d],
+                    "budget {budget} n {n} row {i}"
+                );
+            }
+        }
+        let all =
+            with_thread_budget(budget, || module.embed_all(&cache, &mut Rng::seed_from_u64(9)));
+        assert_eq!(all.data(), &one_row[..], "embed_all at budget {budget}");
+    }
 }
 
 #[test]

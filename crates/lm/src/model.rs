@@ -165,6 +165,10 @@ impl TransformerLm {
         let cfg = &self.cfg;
         assert!(batch.s <= cfg.max_seq, "sequence {} exceeds max {}", batch.s, cfg.max_seq);
         let (b, s, h) = (batch.b, batch.s, cfg.heads);
+        // On an inference tape, everything recorded from here on except the
+        // embedding output and the running residual stream `x` is released
+        // at each sub-layer boundary (a no-op on a recording tape).
+        let mark = g.len();
 
         // Embeddings
         let tok_table = g.param(store, self.tok_emb);
@@ -182,6 +186,7 @@ impl TransformerLm {
         x = g.layer_norm(x, eg, eb, cfg.ln_eps);
         x = g.dropout(x, cfg.dropout, training, rng);
         let embedded = x;
+        g.release_since(mark, &[embedded]);
 
         // The additive attention mask stays off the tape: the fused
         // softmax nodes share one copy of it behind an Rc.
@@ -206,6 +211,7 @@ impl TransformerLm {
             let g1 = g.param(store, blk.ln1_gain);
             let b1v = g.param(store, blk.ln1_bias);
             x = g.add_layer_norm(x, proj, g1, b1v, cfg.ln_eps);
+            g.release_since(mark, &[embedded, x]);
 
             // --- feed-forward (fused residual layer-norm) ---
             let f1 = self.linear(g, store, x, blk.w1, blk.b1);
@@ -215,6 +221,7 @@ impl TransformerLm {
             let g2 = g.param(store, blk.ln2_gain);
             let b2v = g.param(store, blk.ln2_bias);
             x = g.add_layer_norm(x, f2, g2, b2v, cfg.ln_eps);
+            g.release_since(mark, &[embedded, x]);
         }
         (embedded, x)
     }

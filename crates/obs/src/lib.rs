@@ -66,12 +66,3 @@ pub use report::RunReport;
 pub fn span(name: &str) -> Span {
     registry::span(name)
 }
-
-/// `span!("name")` — macro alias of [`span`] for call sites that prefer the
-/// macro style.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}

@@ -8,11 +8,18 @@
 //! Model weights persist across steps in a [`crate::optim::ParamStore`];
 //! [`Graph::param`] copies a parameter onto the tape and remembers the
 //! binding so [`Graph::accumulate_param_grads`] can push gradients back.
+//!
+//! [`Graph::inference`] builds a tape for eval-mode forwards instead. Its
+//! ops run the same forward kernels in the same order, so its values are
+//! bit-identical to a recording tape's, but it keeps no parents and no
+//! backward closures, reads parameters from the store without copying them,
+//! and lets a model drop dead intermediates early ([`Graph::release_since`]).
 
 use crate::optim::{ParamId, ParamStore};
 use crate::pool::BufferPool;
 use crate::tensor::Tensor;
 use std::cell::{Cell, Ref, RefCell};
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// Handle to a node on a [`Graph`] tape.
@@ -43,8 +50,28 @@ pub(crate) struct Node {
     pub param: Option<ParamId>,
 }
 
-pub(crate) struct Inner {
-    pub values: Vec<Tensor>,
+/// A node's value: computed by the tape, borrowed from the parameter store
+/// (inference tapes only), or released by [`Graph::release_since`].
+pub(crate) enum Value<'s> {
+    Owned(Tensor),
+    Borrowed(&'s Tensor),
+    Released,
+}
+
+impl Deref for Value<'_> {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Borrowed(t) => t,
+            Value::Released => panic!("read of a tape value that was already released"),
+        }
+    }
+}
+
+pub(crate) struct Inner<'s> {
+    pub values: Vec<Value<'s>>,
     pub grads: Vec<Option<Tensor>>,
     pub nodes: Vec<Node>,
 }
@@ -53,25 +80,31 @@ pub(crate) struct Inner {
 ///
 /// With [`Graph::with_pool`], node values and gradients are recycled through
 /// a [`BufferPool`] when the graph drops, so the next step's tape reuses
-/// this step's allocations.
-pub struct Graph {
-    pub(crate) inner: RefCell<Inner>,
+/// this step's allocations. The lifetime `'s` is that of the parameter
+/// store an inference tape ([`Graph::inference`]) reads from; a recording
+/// tape borrows nothing.
+pub struct Graph<'s> {
+    pub(crate) inner: RefCell<Inner<'s>>,
     pub(crate) pool: Option<Rc<BufferPool>>,
     retain_grads: Cell<bool>,
+    /// The store parameters are read from; set exactly on inference tapes.
+    store: Option<&'s ParamStore>,
 }
 
-impl Default for Graph {
+impl Default for Graph<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Drop for Graph {
+impl Drop for Graph<'_> {
     fn drop(&mut self) {
         if let Some(pool) = &self.pool {
             let inner = self.inner.get_mut();
-            for t in inner.values.drain(..) {
-                pool.put_tensor(t);
+            for v in inner.values.drain(..) {
+                if let Value::Owned(t) = v {
+                    pool.put_tensor(t);
+                }
             }
             for g in inner.grads.drain(..).flatten() {
                 pool.put_tensor(g);
@@ -80,14 +113,31 @@ impl Drop for Graph {
     }
 }
 
-impl Graph {
+impl<'s> Graph<'s> {
     /// An empty tape.
     pub fn new() -> Self {
         Graph {
             inner: RefCell::new(Inner { values: Vec::new(), grads: Vec::new(), nodes: Vec::new() }),
             pool: None,
             retain_grads: Cell::new(false),
+            store: None,
         }
+    }
+
+    /// An empty inference tape over `store`: ops record values only (no
+    /// parents, no backward closures, nothing requires a gradient), and
+    /// [`Graph::param`] reads the store in place instead of copying.
+    /// Values are bit-identical to a recording tape's. Calling
+    /// [`Graph::backward`] on it panics.
+    pub fn inference(store: &'s ParamStore) -> Self {
+        let mut g = Self::new();
+        g.store = Some(store);
+        g
+    }
+
+    /// Whether this is an [`Graph::inference`] tape.
+    fn is_inference(&self) -> bool {
+        self.store.is_some()
     }
 
     /// An empty tape whose allocations are recycled through `pool` — both
@@ -110,6 +160,30 @@ impl Graph {
         self.inner.borrow().nodes.len()
     }
 
+    /// Number of backward closures held by the tape (always 0 on an
+    /// inference tape).
+    pub fn backward_fns(&self) -> usize {
+        self.inner.borrow().nodes.iter().filter(|n| n.backward.is_some()).count()
+    }
+
+    /// On an inference tape, releases the value of every node recorded at
+    /// or after position `mark` (a [`Graph::len`] taken earlier) except
+    /// `keep`; reading a released value panics. Models call this at
+    /// sub-layer boundaries so a forward holds one sub-layer's
+    /// intermediates at a time. A no-op on a recording tape, whose
+    /// backward pass needs every value.
+    pub fn release_since(&self, mark: usize, keep: &[Var]) {
+        if !self.is_inference() {
+            return;
+        }
+        let mut inner = self.inner.borrow_mut();
+        for (id, v) in inner.values.iter_mut().enumerate().skip(mark) {
+            if !keep.iter().any(|k| k.id == id) {
+                *v = Value::Released;
+            }
+        }
+    }
+
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -123,11 +197,27 @@ impl Graph {
         requires_grad: bool,
         param: Option<ParamId>,
     ) -> Var {
+        self.push_value(Value::Owned(value), parents, backward, requires_grad, param)
+    }
+
+    fn push_value(
+        &self,
+        value: Value<'s>,
+        parents: Vec<usize>,
+        backward: Option<BackFn>,
+        requires_grad: bool,
+        param: Option<ParamId>,
+    ) -> Var {
+        let node = if self.is_inference() {
+            Node { parents: Vec::new(), backward: None, requires_grad: false, param: None }
+        } else {
+            Node { parents, backward, requires_grad, param }
+        };
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
         inner.values.push(value);
         inner.grads.push(None);
-        inner.nodes.push(Node { parents, backward, requires_grad, param });
+        inner.nodes.push(node);
         Var { id }
     }
 
@@ -144,20 +234,29 @@ impl Graph {
 
     /// Copies a parameter from the store onto the tape (through the buffer
     /// pool when one is attached) and records the binding so its gradient
-    /// can later be pushed back.
+    /// can later be pushed back. An inference tape instead reads the
+    /// parameter in place from the store it was built over, which must be
+    /// `store`.
     pub fn param(&self, store: &ParamStore, id: ParamId) -> Var {
+        if let Some(own) = self.store {
+            assert!(
+                std::ptr::eq(own, store),
+                "inference tape read a parameter from a store it was not built over"
+            );
+            return self.push_value(Value::Borrowed(own.value(id)), Vec::new(), None, false, None);
+        }
         let value = crate::pool::copy_tensor(&self.pool, store.value(id));
         self.push(value, Vec::new(), None, true, Some(id))
     }
 
     /// Shared read access to a node's value.
     pub fn value(&self, v: Var) -> Ref<'_, Tensor> {
-        Ref::map(self.inner.borrow(), |i| &i.values[v.id])
+        Ref::map(self.inner.borrow(), |i| &*i.values[v.id])
     }
 
     /// Clones a node's value out of the tape.
     pub fn value_cloned(&self, v: Var) -> Tensor {
-        self.inner.borrow().values[v.id].clone()
+        Tensor::clone(&self.inner.borrow().values[v.id])
     }
 
     /// The gradient of a node after [`Graph::backward`], if one was produced.
@@ -209,6 +308,10 @@ impl Graph {
     /// accumulate flat. Unless [`Graph::set_retain_grads`] is on, a consumed
     /// node's own gradient is dropped (recycled) rather than kept.
     pub fn backward(&self, root: Var) {
+        assert!(
+            !self.is_inference(),
+            "backward called on an inference tape, which records no parents or backward closures"
+        );
         let mut inner = self.inner.borrow_mut();
         assert_eq!(
             inner.values[root.id].len(),
@@ -222,14 +325,13 @@ impl Graph {
         let Inner { values, grads, nodes } = &mut *inner;
         let mut pending: Vec<usize> = Vec::new();
         for id in (0..=root.id).rev() {
-            if grads[id].is_none() || nodes[id].backward.is_none() {
-                continue;
-            }
-            let mut gout = grads[id].take();
             let node = &nodes[id];
-            let back = node.backward.as_ref().expect("checked above");
-            let parent_vals: Vec<&Tensor> = node.parents.iter().map(|&p| &values[p]).collect();
-            let flows = back(gout.as_ref().expect("checked above"), &values[id], &parent_vals);
+            // A node without a closure (a leaf) keeps its gradient.
+            let Some(back) = node.backward.as_ref() else { continue };
+            let Some(g) = grads[id].take() else { continue };
+            let parent_vals: Vec<&Tensor> = node.parents.iter().map(|&p| &*values[p]).collect();
+            let flows = back(&g, &values[id], &parent_vals);
+            let mut gout = Some(g);
             debug_assert_eq!(flows.len(), node.parents.len());
             pending.clear();
             for (&p, flow) in node.parents.iter().zip(flows) {
@@ -820,6 +922,48 @@ mod tests {
         let g = Graph::new();
         let x = g.leaf(Tensor::zeros(&[2, 2]), true);
         g.backward(x);
+    }
+
+    /// A small store-backed forward: `tanh(gelu(x · w))`.
+    fn store_forward(g: &Graph, store: &ParamStore, x0: &Tensor) -> (Var, Var) {
+        let x = g.constant(x0.clone());
+        let w = g.param(store, ParamId(0));
+        let h = g.gelu(g.matmul(x, w));
+        (h, g.tanh(h))
+    }
+
+    fn store_and_input() -> (ParamStore, Tensor) {
+        let mut rng = Rng::seed_from_u64(21);
+        let mut store = ParamStore::new();
+        store.add("w", Tensor::rand_normal(&[3, 4], 0.8, &mut rng));
+        (store, Tensor::rand_normal(&[2, 3], 0.8, &mut rng))
+    }
+
+    #[test]
+    fn inference_tape_matches_recording_tape_and_releases() {
+        let (store, x0) = store_and_input();
+        let rec = Graph::new();
+        let (rec_h, rec_y) = store_forward(&rec, &store, &x0);
+        let inf = Graph::inference(&store);
+        let (_, y) = store_forward(&inf, &store, &x0);
+        assert_eq!(inf.value_cloned(y), rec.value_cloned(rec_y));
+        assert!(inf.is_inference() && !rec.is_inference());
+        assert_eq!(inf.backward_fns(), 0);
+        assert!(rec.backward_fns() > 0);
+        inf.release_since(0, &[y]);
+        assert_eq!(inf.value_cloned(y), rec.value_cloned(rec_y), "kept values survive");
+        rec.release_since(0, &[]);
+        let _ = rec.value_cloned(rec_h); // a no-op on a recording tape
+    }
+
+    #[test]
+    #[should_panic(expected = "already released")]
+    fn reading_a_released_value_panics() {
+        let (store, x0) = store_and_input();
+        let inf = Graph::inference(&store);
+        let (h, y) = store_forward(&inf, &store, &x0);
+        inf.release_since(0, &[y]);
+        let _ = inf.value_cloned(h);
     }
 
     #[test]

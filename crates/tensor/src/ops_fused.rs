@@ -22,16 +22,16 @@ use crate::graph::{BackFn, Flow, Graph, Var};
 use crate::tensor::Tensor;
 use std::rc::Rc;
 
-impl Graph {
+impl Graph<'_> {
     /// Fused affine map `x·w + bias` for `x: [n,k]`, `w: [k,m]`,
     /// `bias: [m]`. Equivalent to `add_bias(matmul(x, w), bias)` as one node.
     pub fn linear(&self, x: Var, w: Var, bias: Var) -> Var {
         let pool = self.pool.clone();
         let (value, rg) = {
             let inner = self.inner.borrow();
-            let xv = &inner.values[x.id];
-            let wv = &inner.values[w.id];
-            let bv = &inner.values[bias.id];
+            let xv = &*inner.values[x.id];
+            let wv = &*inner.values[w.id];
+            let bv = &*inner.values[bias.id];
             let value = xv.matmul_with(
                 wv,
                 Some(bv),
@@ -114,10 +114,10 @@ impl Graph {
         let pool = self.pool.clone();
         let (value, rg) = {
             let inner = self.inner.borrow();
-            let av = &inner.values[a.id];
-            let bv = &inner.values[b.id];
-            let gv = &inner.values[gain.id];
-            let biv = &inner.values[bias.id];
+            let av = &*inner.values[a.id];
+            let bv = &*inner.values[b.id];
+            let gv = &*inner.values[gain.id];
+            let biv = &*inner.values[bias.id];
             assert_eq!(av.shape(), bv.shape(), "add_layer_norm operand shapes");
             let d = *av.shape().last().expect("add_layer_norm rank");
             assert_eq!(gv.len(), d, "add_layer_norm gain");

@@ -5,7 +5,7 @@ use crate::graph::{Flow, Graph, Var};
 use crate::rng::Rng;
 use crate::tensor::Tensor;
 
-impl Graph {
+impl Graph<'_> {
     /// Softmax over the last dimension.
     pub fn softmax_lastdim(&self, x: Var) -> Var {
         let pool = self.pool.clone();
@@ -83,9 +83,9 @@ impl Graph {
         // recomputed in backward from the parent (cheap, avoids captures).
         let (value, rg) = {
             let inner = self.inner.borrow();
-            let xv = &inner.values[x.id];
-            let gv = &inner.values[gain.id];
-            let bv = &inner.values[bias.id];
+            let xv = &*inner.values[x.id];
+            let gv = &*inner.values[gain.id];
+            let bv = &*inner.values[bias.id];
             let d = *xv.shape().last().expect("layer_norm rank");
             assert_eq!(gv.len(), d, "layer_norm gain");
             assert_eq!(bv.len(), d, "layer_norm bias");

@@ -4,7 +4,7 @@
 use crate::graph::{Flow, Graph, Var};
 use crate::tensor::Tensor;
 
-impl Graph {
+impl Graph<'_> {
     /// Reinterprets `x` with a new shape (same element count).
     pub fn reshape(&self, x: Var, shape: &[usize]) -> Var {
         let shape_owned = shape.to_vec();
@@ -59,7 +59,7 @@ impl Graph {
         assert!(!parts.is_empty(), "concat_cols of nothing");
         let (value, widths, rg) = {
             let inner = self.inner.borrow();
-            let tensors: Vec<&Tensor> = parts.iter().map(|v| &inner.values[v.id]).collect();
+            let tensors: Vec<&Tensor> = parts.iter().map(|v| &*inner.values[v.id]).collect();
             let widths: Vec<usize> = tensors.iter().map(|t| t.shape()[1]).collect();
             let rg = parts.iter().any(|v| inner.nodes[v.id].requires_grad);
             (Tensor::concat_cols(&tensors), widths, rg)
@@ -91,7 +91,7 @@ impl Graph {
             let s = cols.len();
             let mut data = vec![0.0f32; n * s];
             for (j, v) in cols.iter().enumerate() {
-                let t = &inner.values[v.id];
+                let t = &*inner.values[v.id];
                 assert_eq!(t.len(), n, "stack_cols length mismatch");
                 for i in 0..n {
                     data[i * s + j] = t.data()[i];

@@ -10,19 +10,16 @@
 //! kind[4] | u32 container_version | u64 payload_len | u32 crc32 | payload
 //! ```
 //!
-//! A parameter store is a blob of kind `SDT2` whose payload is the legacy
-//! v1 body:
+//! A parameter store is a blob of kind `SDT2` whose payload is:
 //!
 //! ```text
 //! u32 n_params | for each param:
 //!   u32 name_len | name bytes | u8 trainable | u32 rank | u32 dims... | f32 data...
 //! ```
 //!
-//! [`store_from_bytes`] still reads legacy `SDT1` files (magic + body, no
-//! checksum) so pre-v2 checkpoints keep loading. Any mismatch — wrong
-//! magic, wrong version, wrong length, wrong checksum, truncated body —
-//! fails with a clean `InvalidData` error, never a panic and never silent
-//! wrong weights.
+//! Any mismatch — wrong magic, wrong version, wrong length, wrong
+//! checksum, truncated body — fails with a clean `InvalidData` error, never
+//! a panic and never silent wrong weights.
 //!
 //! ## Write discipline
 //!
@@ -43,7 +40,6 @@ use crate::tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-const LEGACY_MAGIC: &[u8; 4] = b"SDT1";
 /// Blob kind of a serialized [`ParamStore`].
 pub const STORE_KIND: &[u8; 4] = b"SDT2";
 /// Current container version written by [`blob_to_bytes`].
@@ -295,13 +291,8 @@ pub fn store_to_bytes(store: &ParamStore) -> Vec<u8> {
     blob_to_bytes(STORE_KIND, &store_body_bytes(store))
 }
 
-/// Deserializes a parameter store produced by [`store_to_bytes`] (v2) or by
-/// the legacy pre-checksum `SDT1` writer.
+/// Deserializes a parameter store produced by [`store_to_bytes`].
 pub fn store_from_bytes(buf: &[u8]) -> io::Result<ParamStore> {
-    if buf.len() >= 4 && &buf[..4] == LEGACY_MAGIC {
-        // Legacy v1: magic + body, no checksum.
-        return store_from_body(&buf[4..]);
-    }
     store_from_body(blob_payload(buf, STORE_KIND)?)
 }
 
@@ -448,19 +439,6 @@ mod tests {
         assert_eq!(back.value(b), store.value(b));
         assert!(back.is_trainable(a));
         assert!(!back.is_trainable(b));
-    }
-
-    #[test]
-    fn legacy_v1_files_still_load() {
-        let mut rng = Rng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::rand_normal(&[3, 3], 1.0, &mut rng));
-        // Reconstruct the old writer: magic + body, no checksum.
-        let mut v1 = Vec::new();
-        v1.put_slice(LEGACY_MAGIC);
-        v1.put_slice(&store_body_bytes(&store));
-        let back = store_from_bytes(&v1).unwrap();
-        assert_eq!(back.value(crate::optim::ParamId(0)), store.value(crate::optim::ParamId(0)));
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl CsrMatrix {
     }
 }
 
-impl Graph {
+impl Graph<'_> {
     /// Sparse-dense product `A · X` with gradient flowing into `X`
     /// (`A` is a constant adjacency structure).
     pub fn spmm(&self, a: Arc<CsrMatrix>, x: Var) -> Var {

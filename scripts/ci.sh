@@ -147,6 +147,25 @@ cmp "$SPILL_TMP/ref.sdt" "$SPILL_TMP/resumed.sdt" \
 echo "spill smoke: resumed model byte-identical after mid-shard kill"
 rm -rf "$SPILL_TMP"
 
+# End-to-end thread invariance (drives the real binary): the same world
+# trained at SDEA_THREADS=1 and at the default budget must give
+# byte-identical model and encoder files. This pins the eval-batch cut,
+# which follows the budget, and the inference tape at the CLI surface.
+echo "=== thread-invariance smoke ==="
+THREADS_TMP="$(mktemp -d)"
+trap 'rm -rf "$THREADS_TMP"' EXIT
+./target/release/sdea generate zh_en "$THREADS_TMP/ds" --links 60 --seed 7
+SDEA_THREADS=1 ./target/release/sdea align "$THREADS_TMP/ds" --tiny --seed 7 \
+  --out "$THREADS_TMP/t1.sdt" --encoder-out "$THREADS_TMP/t1.sdqe"
+./target/release/sdea align "$THREADS_TMP/ds" --tiny --seed 7 \
+  --out "$THREADS_TMP/tn.sdt" --encoder-out "$THREADS_TMP/tn.sdqe"
+cmp "$THREADS_TMP/t1.sdt" "$THREADS_TMP/tn.sdt" \
+  || { echo "thread smoke: model differs between SDEA_THREADS=1 and the default budget"; exit 1; }
+cmp "$THREADS_TMP/t1.sdqe" "$THREADS_TMP/tn.sdqe" \
+  || { echo "thread smoke: encoder differs between SDEA_THREADS=1 and the default budget"; exit 1; }
+echo "thread smoke: model and encoder byte-identical at SDEA_THREADS=1 and the default budget"
+rm -rf "$THREADS_TMP"
+
 # Serving smoke (drives the real binaries): train a tiny model, export
 # the query encoder, serve it over HTTP, and require the served top-1 to
 # equal the offline query path's answer for the same text. `wait` then
