@@ -1,8 +1,8 @@
 //! # sdea-bench
 //!
 //! The experiment harness: one binary per table of the SDEA paper, plus
-//! criterion microbenches. Shared machinery (dataset scaling, method
-//! runners, timing, table assembly) lives here.
+//! the kernel, index and scale benches. Shared machinery (dataset
+//! scaling, method runners, timing, table assembly) lives here.
 //!
 //! ## Scale
 //!

@@ -22,8 +22,7 @@ pub mod strings;
 
 pub use csls::csls_rescale;
 pub use metrics::{
-    evaluate, evaluate_ranking, rank_of, AlignmentMetrics, RescoreFn, Shards, Shortlist, Table,
-    Targets,
+    evaluate, evaluate_ranking, rank_of, AlignmentMetrics, Shards, Shortlist, Table, Targets,
 };
 pub use report::{format_table, TableRow};
 pub use similarity::{

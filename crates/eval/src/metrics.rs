@@ -11,7 +11,7 @@
 //! to the matrix path at any block size and any `SDEA_THREADS` budget.
 
 use crate::similarity::{desc_nan_last, SimilarityMatrix};
-use sdea_index::{Hit, Retriever};
+use sdea_index::Retriever;
 use sdea_tensor::{EmbeddingShards, Tensor};
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -154,13 +154,8 @@ pub trait Targets {
     /// Embedding width.
     fn dim(&self) -> usize;
     /// 1-based rank of each query's gold, `None` when the source did not
-    /// rank it. `block` holds the queries `start..start + gold.len()`.
-    fn ranks(
-        &mut self,
-        start: usize,
-        block: &Tensor,
-        gold: &[usize],
-    ) -> Result<Vec<Option<usize>>, Self::Error>;
+    /// rank it. `gold[i]` is the gold target of `block` row `i`.
+    fn ranks(&self, block: &Tensor, gold: &[usize]) -> Result<Vec<Option<usize>>, Self::Error>;
 }
 
 /// An in-memory target embedding table, scored exhaustively. Each block
@@ -180,12 +175,7 @@ impl Targets for Table<'_> {
         assert_eq!(self.0.rank(), 2, "Table expects a rank-2 target table");
         self.0.shape()[1]
     }
-    fn ranks(
-        &mut self,
-        _: usize,
-        block: &Tensor,
-        gold: &[usize],
-    ) -> Result<Vec<Option<usize>>, Infallible> {
+    fn ranks(&self, block: &Tensor, gold: &[usize]) -> Result<Vec<Option<usize>>, Infallible> {
         let sim = block.normalized_view().matmul_t(&self.0.normalized_view());
         Ok(rank_rows(sim.data(), self.rows(), gold))
     }
@@ -207,12 +197,7 @@ impl Targets for Shards<'_> {
     fn dim(&self) -> usize {
         self.0.dim()
     }
-    fn ranks(
-        &mut self,
-        _: usize,
-        block: &Tensor,
-        gold: &[usize],
-    ) -> std::io::Result<Vec<Option<usize>>> {
+    fn ranks(&self, block: &Tensor, gold: &[usize]) -> std::io::Result<Vec<Option<usize>>> {
         let (qb, m) = (gold.len(), self.0.len());
         let q_n = block.normalized_view();
         let mut slab = vec![0.0f32; qb * m];
@@ -228,16 +213,9 @@ impl Targets for Shards<'_> {
     }
 }
 
-/// Per-block shortlist rescoring hook for a [`Shortlist`]: receives the
-/// block's global starting query row and its `(target_row, score)` hit
-/// lists, returns the rescored lists (one per query). A cross-encoder
-/// reranker plugs in here behind a closure — this crate deliberately does
-/// not depend on `sdea-core`.
-pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<Hit>>) -> Vec<Vec<Hit>> + 'a;
-
-/// The top-`k` hit lists of a [`Retriever`], optionally rescored. The
-/// gold's rank is its 1-based position in the (rescored) list. A gold
-/// missing from the list counts honestly: no hit and reciprocal rank 0.
+/// The top-`k` hit lists of a [`Retriever`]. The gold's rank is its
+/// 1-based position in the list. A gold missing from the list counts
+/// honestly: no hit and reciprocal rank 0.
 ///
 /// With an exact backend and `k >= 10`, Hits@1 and Hits@10 equal the full
 /// ranking's and MRR is a lower bound on it (only golds ranked below `k`
@@ -247,19 +225,16 @@ pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<Hit>>) -> Vec<Vec<Hit>> + 'a;
 /// [`rank_of`]'s tie rule. A `k` below 10 that does not cover every target
 /// leaves Hits@10 undefined and panics.
 ///
-/// Retriever search is per query row and a rescorer must be too (the
-/// cross-encoder's pair scores are), so block composition cannot change
+/// Retriever search is per query row, so block composition cannot change
 /// any list.
-pub struct Shortlist<'a, 'f> {
-    /// Stage-1 retriever over the targets.
+pub struct Shortlist<'a> {
+    /// Retriever over the targets.
     pub retr: &'a dyn Retriever,
     /// Shortlist length per query.
     pub k: usize,
-    /// Optional second-stage rescoring of each block's hit lists.
-    pub rescore: Option<&'a mut RescoreFn<'f>>,
 }
 
-impl Targets for Shortlist<'_, '_> {
+impl Targets for Shortlist<'_> {
     type Error = Infallible;
     const DENSE: bool = false;
     fn rows(&self) -> usize {
@@ -268,23 +243,16 @@ impl Targets for Shortlist<'_, '_> {
     fn dim(&self) -> usize {
         self.retr.dim()
     }
-    fn ranks(
-        &mut self,
-        start: usize,
-        block: &Tensor,
-        gold: &[usize],
-    ) -> Result<Vec<Option<usize>>, Infallible> {
+    fn ranks(&self, block: &Tensor, gold: &[usize]) -> Result<Vec<Option<usize>>, Infallible> {
         assert!(
             self.k >= 10.min(self.rows()),
             "Shortlist k = {} is below 10 and below the {} targets: Hits@10 is undefined",
             self.k,
             self.rows()
         );
-        let mut hits = self.retr.search(block, self.k);
-        if let Some(rescore) = self.rescore.as_mut() {
-            hits = rescore(start, hits);
-        }
-        Ok(hits
+        Ok(self
+            .retr
+            .search(block, self.k)
             .iter()
             .zip(gold)
             .map(|(row, &g)| row.iter().position(|&(j, _)| j == g).map(|p| p + 1))
@@ -304,7 +272,7 @@ impl Targets for Shortlist<'_, '_> {
 /// `let Ok(m) = …`.
 pub fn evaluate<T: Targets>(
     queries: &Tensor,
-    mut targets: T,
+    targets: T,
     gold: &[usize],
     block_rows: usize,
 ) -> Result<AlignmentMetrics, T::Error> {
@@ -317,7 +285,7 @@ pub fn evaluate<T: Targets>(
     let mut acc = RankAccum::default();
     for start in (0..n).step_by(block) {
         let end = (start + block).min(n);
-        let ranks = targets.ranks(start, &row_block(queries, start, end), &gold[start..end])?;
+        let ranks = targets.ranks(&row_block(queries, start, end), &gold[start..end])?;
         assert_eq!(ranks.len(), end - start, "a target source must rank every query of its block");
         if T::DENSE {
             sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
@@ -461,21 +429,13 @@ mod tests {
     }
 
     /// Every target source at every block height and thread budget against
-    /// the materialized matrix oracle, bitwise. A rescorer that moves the
-    /// gold to the front must match the oracle over a matrix whose gold
-    /// cells score +inf — which also pins the `start` offset the closure
-    /// indexes the gold slice with.
+    /// the materialized matrix oracle, bitwise.
     #[test]
     fn every_target_source_matches_the_matrix_oracle_bitwise() {
         use sdea_tensor::with_thread_budget;
         let (src, tgt, gold) = random_pair();
         let (n, m) = (gold.len(), tgt.shape()[0]);
-        let mut sim = cosine_matrix(&src, &tgt);
-        let oracle = evaluate_ranking(&sim, &gold);
-        for (i, &g) in gold.iter().enumerate() {
-            sim.row_mut(i)[g] = f32::INFINITY;
-        }
-        let front_oracle = evaluate_ranking(&sim, &gold);
+        let oracle = evaluate_ranking(&cosine_matrix(&src, &tgt), &gold);
 
         let base = std::env::temp_dir().join(format!("sdea_eval_shards_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
@@ -512,26 +472,8 @@ mod tests {
             cases.push((name, oracle, Box::new(run)));
         }
         for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf nprobe=0", &ivf)] {
-            let plain = move |b| {
-                infallible(evaluate(src, Shortlist { retr, k: m, rescore: None }, gold, b))
-            };
-            let identity = move |b| {
-                let shortlist = Shortlist { retr, k: m, rescore: Some(&mut |_, hits| hits) };
-                infallible(evaluate(src, shortlist, gold, b))
-            };
-            let front = move |b| {
-                let mut to_front = |start: usize, mut hits: Vec<Vec<Hit>>| {
-                    for (r, row) in hits.iter_mut().enumerate() {
-                        row.sort_by_key(|&(j, _)| j != gold[start + r]);
-                    }
-                    hits
-                };
-                let shortlist = Shortlist { retr, k: m, rescore: Some(&mut to_front) };
-                infallible(evaluate(src, shortlist, gold, b))
-            };
-            cases.push((format!("{name} k=m"), oracle, Box::new(plain)));
-            cases.push((format!("{name} identity rescore"), oracle, Box::new(identity)));
-            cases.push((format!("{name} gold-to-front rescore"), front_oracle, Box::new(front)));
+            let run = move |b| infallible(evaluate(src, Shortlist { retr, k: m }, gold, b));
+            cases.push((format!("{name} k=m"), oracle, Box::new(run)));
         }
         // Truncated and approximate shortlists have no matrix oracle; they
         // must still be invariant to block height and thread budget, so
@@ -541,8 +483,7 @@ mod tests {
             ("ivf nprobe=2", &ivf2, 10),
             ("ivf nprobe=2", &ivf2, m),
         ] {
-            let run =
-                move |b| infallible(evaluate(src, Shortlist { retr, k, rescore: None }, gold, b));
+            let run = move |b| infallible(evaluate(src, Shortlist { retr, k }, gold, b));
             cases.push((format!("{name} k={k}"), run(0), Box::new(run)));
         }
 
@@ -575,7 +516,7 @@ mod tests {
         let retr = ExactRetriever::new(&tgt);
         for gold in 10..20 {
             assert_eq!(rank_of(cosine_matrix(&q, &tgt).row(0), gold), gold + 1);
-            let shortlist = Shortlist { retr: &retr, k: 10, rescore: None };
+            let shortlist = Shortlist { retr: &retr, k: 10 };
             let m = infallible(evaluate(&q, shortlist, &[gold], 0));
             assert_eq!(m, AlignmentMetrics::default(), "gold at true rank {}", gold + 1);
         }
@@ -587,7 +528,7 @@ mod tests {
         let tgt = Tensor::from_vec((0..40).map(|i| i as f32).collect(), &[20, 2]);
         let q = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
         let retr = ExactRetriever::new(&tgt);
-        let _ = evaluate(&q, Shortlist { retr: &retr, k: 5, rescore: None }, &[0], 0);
+        let _ = evaluate(&q, Shortlist { retr: &retr, k: 5 }, &[0], 0);
     }
 
     /// Regression (serving hardening): zero-norm embedding rows — e.g. an
@@ -627,7 +568,7 @@ mod tests {
             &IndexConfig { kind: IndexKind::Ivf, nlist: 2, nprobe: 0, quantize: true },
         );
         for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
-            let m = infallible(evaluate(&src, Shortlist { retr, k: 5, rescore: None }, &gold, 0));
+            let m = infallible(evaluate(&src, Shortlist { retr, k: 5 }, &gold, 0));
             assert_bitwise(&via_matrix, &m, name);
         }
     }

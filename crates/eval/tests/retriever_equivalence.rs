@@ -30,7 +30,7 @@ fn shortlist_metrics(
     gold: &[usize],
     k: usize,
 ) -> AlignmentMetrics {
-    let Ok(m) = evaluate(q, Shortlist { retr, k, rescore: None }, gold, 0);
+    let Ok(m) = evaluate(q, Shortlist { retr, k }, gold, 0);
     m
 }
 

@@ -134,16 +134,6 @@ fn env_registry(model: &WorkspaceModel, regs: &Registries, out: &mut Vec<Diagnos
 
 // ---------------------------------------------------------------- R-OBS-NAMES
 
-/// Does `owner` (a crate key, or a path prefix when it contains `/`) cover
-/// a use site in `crate_key` / `file`?
-fn owner_matches(owner: &str, crate_key: &str, file: &str) -> bool {
-    if owner.contains('/') {
-        file.starts_with(owner)
-    } else {
-        crate_key == owner
-    }
-}
-
 fn obs_names(model: &WorkspaceModel, regs: &Registries, out: &mut Vec<Diagnostic>) {
     let mut used: BTreeMap<(ObsKind, &str), Vec<&crate::model::ObsSite>> = BTreeMap::new();
     for s in model.obs_sites.iter().filter(|s| s.prod) {
@@ -166,7 +156,7 @@ fn obs_names(model: &WorkspaceModel, regs: &Registries, out: &mut Vec<Diagnostic
             }
             Some(entry) => {
                 for s in sites {
-                    if !owner_matches(&entry.owner, &s.crate_key, &s.file) {
+                    if entry.owner != s.crate_key {
                         out.push(Diagnostic {
                             file: s.file.clone(),
                             line: s.line,
@@ -509,24 +499,6 @@ mod tests {
         );
         let d = check(&WorkspaceModel::default(), &r);
         assert!(d.iter().any(|d| d.msg.contains("two owners")), "{d:?}");
-    }
-
-    #[test]
-    fn module_scoped_owner_uses_path_prefix() {
-        let src = "pub fn f() { sdea_obs::add(\"rerank.steps\", 1); }\n";
-        let rm = regs(
-            "[env]\n",
-            "[counter]\n\"rerank.steps\" = \"crates/core/src/rerank\"\n",
-            "[blob]\n",
-        );
-        let inside = model(&[("crates/core/src/rerank.rs", src)]);
-        assert!(check(&inside, &rm).is_empty(), "{:?}", check(&inside, &rm));
-        let outside = model(&[("crates/core/src/trainer.rs", src)]);
-        assert!(
-            check(&outside, &rm).iter().any(|d| d.msg.contains("owned by")),
-            "{:?}",
-            check(&outside, &rm)
-        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct EnvRegistry {
     pub vars: BTreeMap<String, EnvEntry>,
 }
 
-/// One `obs_registry.toml` entry: the owner is a crate key (`"serve"`) or,
-/// for module-scoped names, a path prefix (`"crates/core/src/rerank"`).
+/// One `obs_registry.toml` entry: the owner is the crate key of the
+/// recording code (`"serve"`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEntry {
     pub owner: String,

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Kernel + pipeline throughput benchmark for the tiled matmul work.
 #
-# Runs the criterion-shim matmul microbenches (tiled vs. naive reference at
-# 128/256/512) and the bench_kernels binary, which re-measures the kernels,
-# runs one quick-scale FR-EN pipeline, and writes results/BENCH_pr3.json
-# with GFLOP/s and per-stage wall times.
+# Runs the bench_kernels binary, which times the tiled matmul kernels
+# against the naive reference, runs one quick-scale FR-EN pipeline, and
+# writes results/BENCH_pr3.json with GFLOP/s and per-stage wall times.
 #
 # SDEA_THREADS controls the pipeline's thread budget (default 8; the par
 # layer caps it at the machine's cores). Set SDEA_BASELINE_WALL to a
@@ -15,9 +14,6 @@ cd "$(dirname "$0")/.."
 
 export SDEA_THREADS="${SDEA_THREADS:-8}"
 export SDEA_OBS=1
-
-echo "=== criterion microbench: matmul (tiled vs reference) ==="
-cargo bench -p sdea-bench --bench microbench -- matmul
 
 echo "=== bench_kernels: GFLOP/s + quick-scale pipeline -> results/BENCH_pr3.json ==="
 cargo build --release -p sdea-bench --bin bench_kernels

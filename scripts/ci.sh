@@ -78,24 +78,14 @@ echo "=== retrieval index smoke ==="
 echo "=== out-of-core scaling smoke ==="
 ./target/release/bench_scale --smoke
 
-# Cross-encoder rerank smoke (seconds): small world, trains the pair head
-# on stage-1 hard negatives, asserts the rerank-off path is bitwise the
-# plain blocked path and that the rerank pass itself is deterministic,
-# written to results/BENCH_rerank_smoke.json. The full ΔHits@1/latency
-# sweep at reproduction scale is a plain bench_rerank run.
-echo "=== rerank smoke ==="
-./target/release/bench_rerank --smoke
-
-# Rerank-off bitwise equivalence: with no reranker configured, serving and
-# evaluation answers must be bit-identical to the stage-1-only paths at
-# both thread budgets (the serve suite also pins the reranked path's
-# batch-invisibility; the eval test pins every target source of the
-# blocked evaluator, rescored shortlists included, to the matrix path; the
-# core property suite pins pair-scoring's order/padding invariance).
-# cargo passes a name filter that matches nothing, so the eval run must
-# report at least one passed test or a rename would empty this gate.
+# Batch invisibility and the eval oracle, at both thread budgets: a served
+# answer is bitwise the same alone, coalesced or raced through the
+# batcher, and every target source of the blocked evaluator matches the
+# materialized-matrix oracle bitwise. cargo passes a name filter that
+# matches nothing, so the eval run must report at least one passed test
+# or a rename would empty this gate.
 for threads in 1 8; do
-  echo "=== rerank equivalence: SDEA_THREADS=$threads ==="
+  echo "=== batch invisibility and eval oracle: SDEA_THREADS=$threads ==="
   SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
   EVAL_OUT="$(SDEA_THREADS="$threads" cargo test -q --release -p sdea-eval \
     every_target_source_matches_the_matrix_oracle_bitwise 2>&1)" || {
@@ -104,10 +94,9 @@ for threads in 1 8; do
   }
   echo "$EVAL_OUT"
   grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$EVAL_OUT" || {
-    echo "rerank equivalence: the eval name filter selected zero tests" >&2
+    echo "eval oracle: the name filter selected zero tests" >&2
     exit 1
   }
-  SDEA_THREADS="$threads" cargo test -q --release -p sdea-core --test rerank_property
 done
 
 # Fault-injection suite: serialization atomicity/corruption at the tensor
@@ -196,7 +185,8 @@ wait "$SERVE_PID"
 echo "serve smoke: served top-1 '$SERVED' matches offline; graceful shutdown clean"
 
 # Serving latency smoke: closed-loop load at 2 concurrency levels,
-# report to results/BENCH_serve.json. Full run is scripts/bench_serve.sh.
+# report to results/BENCH_serve_smoke.json (the committed
+# results/BENCH_serve.json comes from a full scripts/bench_serve.sh run).
 echo "=== serving latency smoke ==="
 ./target/release/bench_serve --smoke
 
